@@ -41,7 +41,7 @@ ResultCache::ResultCache(ResultCacheConfig config) : config_(config) {
 }
 
 bool ResultCache::lookup(const Key& key, std::vector<std::uint8_t>& payload,
-                         Replay& replay) {
+                         RequestRecord& record) {
   if (!enabled()) return false;
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = map_.find(key);
@@ -51,14 +51,14 @@ bool ResultCache::lookup(const Key& key, std::vector<std::uint8_t>& payload,
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru);
   payload = it->second.payload;
-  replay = it->second.replay;
+  record = it->second.record;
   ++hits_;
   return true;
 }
 
 std::size_t ResultCache::insert(const Key& key,
                                 const std::vector<std::uint8_t>& payload,
-                                const Replay& replay) {
+                                const RequestRecord& record) {
   if (!enabled()) return 0;
   const std::size_t cost = entry_bytes(payload);
   if (cost > config_.max_bytes) return 0;  // would never fit; don't thrash
@@ -71,14 +71,14 @@ std::size_t ResultCache::insert(const Key& key,
     // keep the accounting honest either way).
     bytes_ -= entry_bytes(it->second.payload);
     it->second.payload = payload;
-    it->second.replay = replay;
+    it->second.record = record;
     bytes_ += cost;
     lru_.splice(lru_.begin(), lru_, it->second.lru);
   } else {
     lru_.push_front(key);
     Node node;
     node.payload = payload;
-    node.replay = replay;
+    node.record = record;
     node.lru = lru_.begin();
     map_.emplace(key, std::move(node));
     bytes_ += cost;

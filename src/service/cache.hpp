@@ -13,12 +13,13 @@
 // can never match again — invalidation is implicit and stale entries simply
 // age out of the LRU.
 //
-// Alongside the payload each entry carries the per-population fold deltas
-// (rounds, slots, retries, degrade mask) the miss path would have charged,
-// so a hit replays the same PopulationStats mutations and kMonitor /
-// kMetrics / BENCH fold rows are cache-invariant.  What a hit deliberately
-// skips is the channel work itself — chan.* and core.robust.* obs counters
-// do NOT accumulate on hits (that is the saving being measured).
+// Alongside the payload each entry keeps the RequestRecord of the miss that
+// computed it, so a hit fills its own record from the stored outcome and
+// the service charges it through the same fold as any other estimate
+// (docs/service.md): kMonitor / kMetrics / BENCH fold rows are
+// cache-invariant.  What a hit deliberately skips is the channel work
+// itself — chan.* and core.robust.* obs counters do NOT accumulate on hits
+// (that is the saving being measured).
 #pragma once
 
 #include <cstddef>
@@ -27,6 +28,8 @@
 #include <mutex>
 #include <unordered_map>
 #include <vector>
+
+#include "service/flight.hpp"
 
 namespace pet::svc {
 
@@ -62,19 +65,6 @@ class ResultCache {
     [[nodiscard]] bool operator==(const Key& other) const noexcept = default;
   };
 
-  /// The fold deltas a hit replays into PopulationStats / RequestRecord —
-  /// exactly what the miss path charged when the entry was created.
-  struct Replay {
-    std::uint64_t planned_rounds = 0;
-    std::uint64_t rounds = 0;
-    std::uint64_t query_slots = 0;
-    std::uint64_t backoff_slots = 0;
-    std::uint32_t retries = 0;
-    std::uint32_t degrade_mask = 0;
-    std::uint8_t degraded = 0;
-    std::uint8_t truncated = 0;
-  };
-
   explicit ResultCache(ResultCacheConfig config);
 
   [[nodiscard]] bool enabled() const noexcept {
@@ -84,18 +74,18 @@ class ResultCache {
     return config_;
   }
 
-  /// On hit: copies the stored payload + replay out, promotes the entry to
+  /// On hit: copies the stored payload + record out, promotes the entry to
   /// most-recently-used, counts a hit.  On miss: counts a miss.  Always
   /// false when the cache is disabled (without counting anything).
   [[nodiscard]] bool lookup(const Key& key, std::vector<std::uint8_t>& payload,
-                            Replay& replay);
+                            RequestRecord& record);
 
   /// Insert (or refresh) an entry; evicts least-recently-used entries until
   /// both the entry and byte bounds hold.  Returns the number of evictions
   /// this insert caused.  A payload too large for max_bytes on its own is
   /// not cached.  No-op when disabled.
   std::size_t insert(const Key& key, const std::vector<std::uint8_t>& payload,
-                     const Replay& replay);
+                     const RequestRecord& record);
 
   [[nodiscard]] ResultCacheStats stats() const;
 
@@ -105,7 +95,7 @@ class ResultCache {
   };
   struct Node {
     std::vector<std::uint8_t> payload;
-    Replay replay;
+    RequestRecord record;  ///< the computing miss's outcome
     std::list<Key>::iterator lru;  ///< position in lru_ (front = newest)
   };
 

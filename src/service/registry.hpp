@@ -38,8 +38,9 @@
 
 namespace pet::svc {
 
-/// Per-population request totals, updated by the service on every estimate
-/// that resolved to this entry.  Always compiled (unlike the pet.svc.pop.*
+/// Per-population request totals, written only by the service's fold
+/// (service.cpp) for every estimate that resolved to this entry and every
+/// admission shed charged to it.  Always compiled (unlike the pet.svc.pop.*
 /// obs mirror): kMonitor's aggregate counters and the kMetrics export both
 /// fold THESE cells, so the two commands can never disagree.  Everything
 /// here is in slot units or event counts — deterministic for a given

@@ -48,21 +48,275 @@ constexpr std::uint64_t kBackoffStream = 0x5bacull;
   return bits;
 }
 
-/// Typed-error estimate outcome: fold what the attempt consumed into the
-/// population's cells (and their obs mirror) so failed requests are just
-/// as visible as successes.
-void note_estimate_failure(PopulationStats& pop, const RequestRecord& record) {
-  pop.errors.fetch_add(1, std::memory_order_relaxed);
-  pop.retries.fetch_add(record.retries, std::memory_order_relaxed);
-  pop.backoff_slots.fetch_add(record.backoff_slots,
-                              std::memory_order_relaxed);
+[[nodiscard]] std::string request_id_suffix(std::uint64_t request_id) {
+  return " [request-id=" + format_request_id(request_id) + "]";
+}
+
+/// The one writer of a population's request totals and their obs mirrors
+/// (pet.svc.pop.*, svc.req.degraded, svc.deadline.misses,
+/// svc.retry.{attempts,backoff_slots}).  Called once per estimate that found
+/// its population — computed, replayed from the cache, or refused with a
+/// typed error — and once per admission shed charged to a population, so
+/// every outcome is counted the same way whichever path produced it.
+void fold(PopulationStats& pop, const RequestRecord& record,
+          std::uint64_t deadline_slots) {
+  const bool mirror = obs::counters_enabled();
+  const auto add = [mirror](std::atomic<std::uint64_t>& cell,
+                            obs::Counter obs::SvcPopInstruments::*counter,
+                            std::uint64_t n = 1) {
+    cell.fetch_add(n, std::memory_order_relaxed);
+    if (mirror) (obs::svc_pop_instruments().*counter).add(n);
+  };
+  using Pop = obs::SvcPopInstruments;
+  if ((record.degrade_mask & kDegradeShed) != 0) {
+    add(pop.shed, &Pop::shed);
+    return;
+  }
+  const bool ok = record.status == static_cast<std::uint16_t>(StatusCode::kOk);
+  const bool truncated = (record.degrade_mask & kDegradeTruncated) != 0;
+  // A deadline miss is a DEADLINE_EXCEEDED refusal, or a budgeted kOk whose
+  // round loop was stopped early (a degraded answer that still shipped).
+  const bool deadline_miss =
+      ok ? truncated && deadline_slots > 0
+         : record.status ==
+               static_cast<std::uint16_t>(StatusCode::kDeadlineExceeded);
+  add(pop.requests, &Pop::requests);
+  add(pop.retries, &Pop::retries, record.retries);
+  add(pop.backoff_slots, &Pop::backoff_slots, record.backoff_slots);
   pop.observe_latency_slots(record.latency_slots);
+  if (ok) {
+    add(pop.ok, &Pop::ok);
+    add(pop.query_slots, &Pop::query_slots, record.query_slots);
+    add(pop.rounds, &Pop::rounds, record.rounds);
+    add(pop.rounds_planned, &Pop::rounds_planned, record.planned_rounds);
+    if (record.cache_hit != 0) add(pop.cache_hits, &Pop::cache_hits);
+    if (truncated) add(pop.truncated, &Pop::truncated);
+    if (record.degrade_mask != 0) add(pop.degraded, &Pop::degraded);
+  } else {
+    add(pop.errors, &Pop::errors);
+  }
+  if (deadline_miss) add(pop.deadline_misses, &Pop::deadline_misses);
+  if (mirror) {
+    obs::svc_pop_instruments().latency_slots.observe(
+        static_cast<double>(record.latency_slots));
+    const obs::SvcInstruments& svc = obs::svc_instruments();
+    svc.retry_attempts.add(record.retries);
+    svc.retry_backoff_slots.add(record.backoff_slots);
+    if (ok && record.degrade_mask != 0) svc.req_degraded.add();
+    if (deadline_miss) svc.deadline_misses.add();
+  }
+}
+
+/// Why an estimate stage refused: the typed status and the fixed part of
+/// the error detail (the request-id suffix is appended only on refusal).
+struct Refusal {
+  StatusCode status;
+  const char* detail;
+};
+
+/// Everything the response bytes depend on besides the population content,
+/// which the entry's registration epoch pins (registry.hpp), so a
+/// re-registered id can never serve stale bytes.
+[[nodiscard]] ResultCache::Key cache_key(const EstimateRequest& req,
+                                         std::uint64_t epoch,
+                                         const ServiceConfig& config) {
+  ResultCache::Key key;
+  key.epoch = epoch;
+  key.population_id = req.population_id;
+  key.seed = req.seed;
+  key.epsilon_bits = f64_bits(req.epsilon);
+  key.delta_bits = f64_bits(req.delta);
+  key.deadline_slots = req.deadline_slots;
+  key.robust = req.robust;
+  key.vote_reads = config.vote_reads;
+  key.vote_quorum = config.vote_quorum;
+  return key;
+}
+
+/// Cache stage.  A hit copies out the stored payload and the computing
+/// miss's record; the key pins every request byte, so that record already
+/// names this request (id, population, shard) and only its queue time and
+/// hit stamp are this request's own.
+[[nodiscard]] bool lookup_cached(ResultCache& cache, const ResultCache::Key& key,
+                                 std::vector<std::uint8_t>& payload,
+                                 RequestRecord& record) {
+  if (!cache.enabled()) return false;
+  RequestRecord stored;
+  if (!cache.lookup(key, payload, stored)) {
+    if (obs::counters_enabled()) obs::svc_cache_instruments().misses.add();
+    return false;
+  }
+  stored.queue_us = record.queue_us;
+  stored.cache_hit = 1;
+  record = stored;
   if (obs::counters_enabled()) {
-    const obs::SvcPopInstruments& bundle = obs::svc_pop_instruments();
-    bundle.errors.add();
-    bundle.retries.add(record.retries);
-    bundle.backoff_slots.add(record.backoff_slots);
-    bundle.latency_slots.observe(static_cast<double>(record.latency_slots));
+    obs::svc_cache_instruments().hits.add();
+    obs::svc_cache_instruments().bytes.set(
+        static_cast<double>(cache.stats().bytes));
+  }
+  return true;
+}
+
+/// Link-retry stage: transient link faults get a seeded retry with capped
+/// backoff.  One FaultModel per request, seeded from (service fault seed,
+/// request seed): the fault sequence — and therefore the retry schedule —
+/// is a pure function of the request, independent of arrival order or pool
+/// width.  Backoff is virtual (slots charged against the deadline budget,
+/// not slept): petd must not burn a worker thread idling.
+[[nodiscard]] std::optional<Refusal> retry_link(const ServiceConfig& config,
+                                                const EstimateRequest& req,
+                                                RequestRecord& record) {
+  sim::ChannelImpairments link = config.link_faults;
+  link.seed = rng::derive_seed(config.link_faults.seed, req.seed);
+  sim::FaultModel fault_model(link);
+  BackoffSchedule schedule(config.retry,
+                           rng::derive_seed(req.seed, kBackoffStream));
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    fault_model.begin_slot();
+    if (!fault_model.reader_down() && !fault_model.erases_reply()) {
+      return std::nullopt;
+    }
+    if (!schedule.allows_retry(attempt)) {
+      return Refusal{StatusCode::kUnavailable,
+                     "transient link faults outlasted the retry policy"};
+    }
+    record.backoff_slots += schedule.next_backoff_slots();
+    record.retries = schedule.retries();
+    if (req.deadline_slots > 0 && record.backoff_slots >= req.deadline_slots) {
+      return Refusal{StatusCode::kDeadlineExceeded,
+                     "retry backoff consumed the deadline budget"};
+    }
+  }
+}
+
+/// The deadline plan: which estimator runs and how many of its planned
+/// rounds fit the slot budget left after backoff, each charged its worst
+/// case (core::PetConfig::worst_case_slots_per_round()).  Decided before
+/// running — the degrade decision must not depend on outcomes not yet
+/// computed.
+struct EstimatePlan {
+  std::optional<core::RobustPetEstimator> robust;
+  std::optional<core::PetEstimator> vanilla;
+  std::uint64_t remaining = 0;   ///< budget left after backoff; 0 = unlimited
+  std::uint64_t fit_rounds = 0;  ///< 0: not even one round fits
+};
+
+[[nodiscard]] EstimatePlan plan_rounds(const ServiceConfig& config,
+                                       const EstimateRequest& req,
+                                       RequestRecord& record) {
+  const stats::AccuracyRequirement requirement{req.epsilon, req.delta};
+  core::PetConfig base;
+  base.tree_height = config.registry.tree_height;
+  std::uint64_t slots_per_round = base.worst_case_slots_per_round();
+  EstimatePlan plan;
+  if (req.robust == 1) {
+    core::RobustPetConfig rc;
+    rc.base = base;
+    rc.vote_reads = config.vote_reads;
+    rc.vote_quorum = config.vote_quorum;
+    plan.robust.emplace(rc, requirement);
+    record.planned_rounds = plan.robust->planned_rounds();
+    // Worst case every probe goes to a full m-read vote.
+    slots_per_round *= config.vote_reads;
+  } else {
+    plan.vanilla.emplace(base, requirement);
+    record.planned_rounds = plan.vanilla->planned_rounds();
+  }
+  plan.fit_rounds = record.planned_rounds;
+  if (req.deadline_slots > 0) {
+    plan.remaining = req.deadline_slots - record.backoff_slots;
+    plan.fit_rounds = std::min<std::uint64_t>(
+        record.planned_rounds, plan.remaining / slots_per_round);
+  }
+  return plan;
+}
+
+/// Run stage: execute the plan over the population's long-lived channel,
+/// serialized per population, and fill the record's outcome.  The round
+/// gate stops early on drain, on the slot budget, and on the optional
+/// wall-clock backstop (daemon only; breaks determinism, see config).
+[[nodiscard]] EstimateReply run_plan(const ServiceConfig& config,
+                                     const std::atomic<bool>& draining,
+                                     PopulationRegistry::Entry& entry,
+                                     const EstimateRequest& req,
+                                     const EstimatePlan& plan,
+                                     RequestRecord& record) {
+  std::optional<std::chrono::steady_clock::time_point> wall_deadline;
+  if (req.deadline_slots > 0 && config.slot_us > 0) {
+    wall_deadline = std::chrono::steady_clock::now() +
+                    std::chrono::microseconds(req.deadline_slots *
+                                              config.slot_us);
+  }
+  EstimateReply reply;
+  reply.population_id = req.population_id;
+  reply.planned_rounds = record.planned_rounds;
+  reply.retries = record.retries;
+  reply.backoff_slots = record.backoff_slots;
+  std::lock_guard lock(entry.mutex);
+  chan::SortedPetChannel& channel = *entry.channel;
+  channel.reset_ledger();
+  const core::RoundGate gate = [&](std::uint64_t /*rounds_done*/) -> bool {
+    if (draining.load(std::memory_order_relaxed)) return false;
+    if (req.deadline_slots > 0) {
+      const sim::SlotLedger& led = channel.ledger();
+      if (led.total_slots() + led.retry_slots >= plan.remaining) return false;
+    }
+    return !wall_deadline || std::chrono::steady_clock::now() < *wall_deadline;
+  };
+
+  if (plan.robust) {
+    const core::RobustEstimateResult result =
+        plan.robust->estimate_with_rounds(channel, plan.fit_rounds, req.seed,
+                                          gate);
+    reply.n_hat = result.base.n_hat;
+    reply.ci_lo = result.interval.lo;
+    reply.ci_hi = result.interval.hi;
+    reply.rounds = result.base.rounds;
+    reply.truncated = result.base.truncated ? 1 : 0;
+    reply.health = static_cast<std::uint8_t>(result.diagnostic.health);
+    const sim::SlotLedger& led = result.base.ledger;
+    reply.query_slots = led.total_slots() + led.retry_slots;
+    if (result.retry_budget_exhausted) {
+      record.degrade_mask |= kDegradeRetryBudget;
+    }
+    if (result.diagnostic.contract_at_risk()) {
+      record.degrade_mask |= kDegradeHealth;
+    }
+  } else {
+    const core::EstimateResult result = plan.vanilla->estimate_with_rounds(
+        channel, plan.fit_rounds, req.seed, gate);
+    reply.n_hat = result.n_hat;
+    const core::ConfidenceInterval interval =
+        core::confidence_interval(result, req.delta);
+    reply.ci_lo = interval.lo;
+    reply.ci_hi = interval.hi;
+    reply.rounds = result.rounds;
+    reply.truncated = result.truncated ? 1 : 0;
+    reply.query_slots = result.ledger.total_slots();
+  }
+  channel.flush_obs();
+  if (reply.truncated != 0) record.degrade_mask |= kDegradeTruncated;
+  if (plan.fit_rounds < record.planned_rounds) {
+    record.degrade_mask |= kDegradeFitShort;
+  }
+  reply.degraded = record.degrade_mask != 0 ? 1 : 0;
+  record.rounds = reply.rounds;
+  record.query_slots = reply.query_slots;
+  record.latency_slots = record.backoff_slots + record.query_slots;
+  return reply;
+}
+
+/// Publish stage: store a computed reply with the record that charged it,
+/// so a later hit folds exactly what this miss folded.
+void publish(ResultCache& cache, const ResultCache::Key& key,
+             const std::vector<std::uint8_t>& payload,
+             const RequestRecord& record) {
+  if (!cache.enabled()) return;
+  const std::size_t evicted = cache.insert(key, payload, record);
+  if (obs::counters_enabled()) {
+    if (evicted > 0) obs::svc_cache_instruments().evictions.add(evicted);
+    obs::svc_cache_instruments().bytes.set(
+        static_cast<double>(cache.stats().bytes));
   }
 }
 
@@ -248,15 +502,14 @@ std::string EstimationService::note_shed(const Frame& request,
     if (const auto req = parse_estimate_request(request.payload)) {
       record.population_id = req->population_id;
       if (const auto entry = registry_.find(req->population_id)) {
-        entry->stats.shed.fetch_add(1, std::memory_order_relaxed);
-        if (obs::counters_enabled()) obs::svc_pop_instruments().shed.add();
+        fold(entry->stats, record, 0);
       }
     }
   }
 #if PET_OBS_COMPILED
   flight_.record(record);
 #endif
-  return " [request-id=" + format_request_id(record.request_id) + "]";
+  return request_id_suffix(record.request_id);
 }
 
 std::future<Frame> EstimationService::submit(Frame request) {
@@ -570,59 +823,9 @@ Frame EstimationService::handle_flight_dump(const Frame& request) {
 #endif
 }
 
-void EstimationService::replay_cache_hit(PopulationStats& pop,
-                                         const ResultCache::Replay& rep,
-                                         std::uint64_t budget,
-                                         RequestRecord& record) {
-  // Mirror the miss path's flight-record and per-population fold exactly
-  // (handle_estimate's success tail) so every fold-derived surface —
-  // kMonitor, kMetrics stats objects, BENCH fold rows — is cache-invariant.
-  // Only the channel work (chan.* / core.robust.* counters) is skipped.
-  record.planned_rounds = rep.planned_rounds;
-  record.rounds = rep.rounds;
-  record.retries = rep.retries;
-  record.backoff_slots = rep.backoff_slots;
-  record.query_slots = rep.query_slots;
-  record.latency_slots = rep.backoff_slots + rep.query_slots;
-  record.degrade_mask = rep.degrade_mask;
-
-  pop.ok.fetch_add(1, std::memory_order_relaxed);
-  pop.retries.fetch_add(rep.retries, std::memory_order_relaxed);
-  pop.backoff_slots.fetch_add(rep.backoff_slots, std::memory_order_relaxed);
-  pop.query_slots.fetch_add(rep.query_slots, std::memory_order_relaxed);
-  pop.rounds.fetch_add(rep.rounds, std::memory_order_relaxed);
-  pop.rounds_planned.fetch_add(rep.planned_rounds, std::memory_order_relaxed);
-  pop.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  pop.observe_latency_slots(record.latency_slots);
-  if (rep.truncated != 0) {
-    pop.truncated.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (rep.truncated != 0 && budget > 0) {
-    pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().deadline_misses.add();
-  }
-  if (rep.degraded != 0) {
-    pop.degraded.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().req_degraded.add();
-  }
-  if (obs::counters_enabled()) {
-    const obs::SvcPopInstruments& bundle = obs::svc_pop_instruments();
-    bundle.ok.add();
-    bundle.retries.add(rep.retries);
-    bundle.backoff_slots.add(rep.backoff_slots);
-    bundle.query_slots.add(rep.query_slots);
-    bundle.rounds.add(rep.rounds);
-    bundle.rounds_planned.add(rep.planned_rounds);
-    bundle.cache_hits.add();
-    bundle.latency_slots.observe(static_cast<double>(record.latency_slots));
-    if (rep.truncated != 0) bundle.truncated.add();
-    if (rep.truncated != 0 && budget > 0) bundle.deadline_misses.add();
-    if (rep.degraded != 0) bundle.degraded.add();
-  }
-}
-
 Frame EstimationService::handle_estimate(const Frame& request,
                                          RequestRecord& record) {
+  // --- Parse and validate: refusals here never reach a population --------
   const auto req = parse_estimate_request(request.payload);
   if (!req) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
@@ -631,8 +834,6 @@ Frame EstimationService::handle_estimate(const Frame& request,
                        "estimate payload did not parse");
   }
   record.population_id = req->population_id;
-  const std::string id_suffix =
-      " [request-id=" + format_request_id(record.request_id) + "]";
   if (!valid_fraction(req->epsilon) || !valid_fraction(req->delta) ||
       req->robust > 1) {
     if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
@@ -645,299 +846,55 @@ Frame EstimationService::handle_estimate(const Frame& request,
     return ready_error(CommandId::kEstimate, StatusCode::kNotFound,
                        "population id not registered");
   }
-  PopulationStats& pop = entry->stats;
-  pop.requests.fetch_add(1, std::memory_order_relaxed);
-  if (obs::counters_enabled()) obs::svc_pop_instruments().requests.add();
 
-  const std::uint64_t budget = req->deadline_slots;  // 0 = unlimited
-
-  // --- Result cache: epoch-pinned exact-payload lookup --------------------
-  // The key captures every input the response bytes depend on; the entry's
-  // epoch pins the population *content*, so a re-registered id can never
-  // serve stale bytes (registry.hpp).  A hit replays the fold and returns
-  // the stored payload; a miss falls through to the real estimate and
-  // publishes its payload on success.
-  ResultCache::Key cache_key;
-  cache_key.epoch = entry->epoch;
-  cache_key.population_id = req->population_id;
-  cache_key.seed = req->seed;
-  cache_key.epsilon_bits = f64_bits(req->epsilon);
-  cache_key.delta_bits = f64_bits(req->delta);
-  cache_key.deadline_slots = req->deadline_slots;
-  cache_key.robust = req->robust;
-  cache_key.vote_reads = config_.vote_reads;
-  cache_key.vote_quorum = config_.vote_quorum;
-  if (cache_.enabled()) {
-    std::vector<std::uint8_t> cached_payload;
-    ResultCache::Replay cached_replay;
-    if (cache_.lookup(cache_key, cached_payload, cached_replay)) {
-      record.cache_hit = 1;
-      replay_cache_hit(pop, cached_replay, budget, record);
-      if (obs::counters_enabled()) {
-        obs::svc_cache_instruments().hits.add();
-        obs::svc_cache_instruments().bytes.set(
-            static_cast<double>(cache_.stats().bytes));
-      }
-      if (obs::full_enabled()) {
-        obs::trace_event("svc.estimate",
-                         {{"population", std::to_string(req->population_id)},
-                          {"rounds", std::to_string(record.rounds)},
-                          {"planned", std::to_string(record.planned_rounds)},
-                          {"degraded",
-                           std::to_string(record.degrade_mask != 0 ? 1 : 0)},
-                          {"retries", std::to_string(record.retries)},
-                          {"cache_hit", "1"}});
-      }
-      return make_response(CommandId::kEstimate,
-                           static_cast<std::uint16_t>(StatusCode::kOk),
-                           std::move(cached_payload));
-    }
-    if (obs::counters_enabled()) obs::svc_cache_instruments().misses.add();
-  }
-
-  // --- Transient link faults: seeded retry with capped backoff -----------
-  // One FaultModel per request, seeded from (service fault seed, request
-  // seed): the fault sequence — and therefore the retry schedule — is a
-  // pure function of the request, independent of arrival order or pool
-  // width.  Backoff is virtual (slots charged against the deadline budget,
-  // not slept): petd must not burn a worker thread idling.
-  sim::ChannelImpairments link = config_.link_faults;
-  link.seed = rng::derive_seed(config_.link_faults.seed, req->seed);
-  sim::FaultModel fault_model(link);
-  BackoffSchedule schedule(config_.retry,
-                           rng::derive_seed(req->seed, kBackoffStream));
-  std::uint64_t backoff_spent = 0;
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    fault_model.begin_slot();
-    const bool link_fault =
-        fault_model.reader_down() || fault_model.erases_reply();
-    if (!link_fault) break;
-    if (!schedule.allows_retry(attempt)) {
-      record.retries = schedule.retries();
-      record.backoff_slots = backoff_spent;
-      record.latency_slots = backoff_spent;
-      note_estimate_failure(pop, record);
-      if (obs::counters_enabled()) {
+  // From here on every outcome is folded exactly once.
+  const auto refuse = [&](const Refusal& refusal) {
+    record.status = static_cast<std::uint16_t>(refusal.status);
+    record.latency_slots = record.backoff_slots;
+    fold(entry->stats, record, req->deadline_slots);
+    if (obs::counters_enabled()) {
+      if (refusal.status == StatusCode::kUnavailable) {
         obs::svc_instruments().retry_exhausted.add();
-        obs::svc_instruments().req_rejected.add();
       }
-      return ready_error(
-          CommandId::kEstimate, StatusCode::kUnavailable,
-          "transient link faults outlasted the retry policy" + id_suffix);
+      obs::svc_instruments().req_rejected.add();
     }
-    const std::uint64_t wait = schedule.next_backoff_slots();
-    backoff_spent += wait;
-    if (obs::counters_enabled()) {
-      obs::svc_instruments().retry_attempts.add();
-      obs::svc_instruments().retry_backoff_slots.add(wait);
+    return ready_error(CommandId::kEstimate, refusal.status,
+                       refusal.detail + request_id_suffix(record.request_id));
+  };
+
+  // --- Cache → link retry → deadline plan → run → publish -----------------
+  const ResultCache::Key key = cache_key(*req, entry->epoch, config_);
+  std::vector<std::uint8_t> payload;
+  if (!lookup_cached(cache_, key, payload, record)) {
+    if (const auto refusal = retry_link(config_, *req, record)) {
+      return refuse(*refusal);
     }
-    if (budget > 0 && backoff_spent >= budget) {
-      record.retries = schedule.retries();
-      record.backoff_slots = backoff_spent;
-      record.latency_slots = backoff_spent;
-      note_estimate_failure(pop, record);
-      pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-      if (obs::counters_enabled()) {
-        obs::svc_pop_instruments().deadline_misses.add();
-        obs::svc_instruments().deadline_misses.add();
-        obs::svc_instruments().req_rejected.add();
-      }
-      return ready_error(
-          CommandId::kEstimate, StatusCode::kDeadlineExceeded,
-          "retry backoff consumed the deadline budget" + id_suffix);
+    const EstimatePlan plan = plan_rounds(config_, *req, record);
+    if (plan.fit_rounds == 0) {
+      return refuse({StatusCode::kDeadlineExceeded,
+                     "deadline budget cannot fit a single round"});
     }
+    payload = encode(run_plan(config_, draining_, *entry, *req, plan, record));
+    // Publish only replies that are pure functions of the request: a round
+    // loop stopped by the drain flag or the wall-clock backstop produced
+    // bytes an identical future request would not reproduce.
+    const bool impure_truncation =
+        (record.degrade_mask & kDegradeTruncated) != 0 &&
+        (draining_.load(std::memory_order_relaxed) ||
+         (req->deadline_slots > 0 && config_.slot_us > 0));
+    if (!impure_truncation) publish(cache_, key, payload, record);
   }
-  record.retries = schedule.retries();
-  record.backoff_slots = backoff_spent;
-
-  // --- Deadline fit: decide the degrade level before estimating ----------
-  const stats::AccuracyRequirement requirement{req->epsilon, req->delta};
-  const unsigned tree_height = config_.registry.tree_height;
-  core::PetConfig base;
-  base.tree_height = tree_height;
-  const bool robust = req->robust == 1;
-
-  std::uint64_t planned = 0;
-  std::uint64_t slots_per_round = 0;
-  std::optional<core::RobustPetEstimator> robust_estimator;
-  std::optional<core::PetEstimator> vanilla_estimator;
-  if (robust) {
-    core::RobustPetConfig rc;
-    rc.base = base;
-    rc.vote_reads = config_.vote_reads;
-    rc.vote_quorum = config_.vote_quorum;
-    robust_estimator.emplace(rc, requirement);
-    planned = robust_estimator->planned_rounds();
-    // Worst case every probe goes to a full m-read vote.
-    slots_per_round =
-        static_cast<std::uint64_t>(base.worst_case_slots_per_round()) *
-        config_.vote_reads;
-  } else {
-    vanilla_estimator.emplace(base, requirement);
-    planned = vanilla_estimator->planned_rounds();
-    slots_per_round = base.worst_case_slots_per_round();
-  }
-
-  record.planned_rounds = planned;
-  const std::uint64_t remaining = budget > 0 ? budget - backoff_spent : 0;
-  std::uint64_t fit_rounds = planned;
-  if (budget > 0) {
-    fit_rounds = std::min<std::uint64_t>(planned, remaining / slots_per_round);
-    if (fit_rounds == 0) {
-      record.latency_slots = backoff_spent;
-      note_estimate_failure(pop, record);
-      pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-      if (obs::counters_enabled()) {
-        obs::svc_pop_instruments().deadline_misses.add();
-        obs::svc_instruments().deadline_misses.add();
-        obs::svc_instruments().req_rejected.add();
-      }
-      return ready_error(
-          CommandId::kEstimate, StatusCode::kDeadlineExceeded,
-          "deadline budget cannot fit a single round" + id_suffix);
-    }
-  }
-
-  // Wall-clock backstop (daemon only; breaks determinism, see config).
-  std::optional<std::chrono::steady_clock::time_point> wall_deadline;
-  if (budget > 0 && config_.slot_us > 0) {
-    wall_deadline = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(budget * config_.slot_us);
-  }
-
-  // --- Run, serialized per population over its long-lived channel --------
-  EstimateReply reply;
-  reply.population_id = req->population_id;
-  reply.planned_rounds = planned;
-  reply.retries = schedule.retries();
-  reply.backoff_slots = backoff_spent;
-  {
-    std::lock_guard lock(entry->mutex);
-    chan::SortedPetChannel& channel = *entry->channel;
-    channel.reset_ledger();
-    const core::RoundGate gate =
-        [&](std::uint64_t /*rounds_done*/) -> bool {
-      if (draining_.load(std::memory_order_relaxed)) return false;
-      if (budget > 0) {
-        const sim::SlotLedger& led = channel.ledger();
-        if (led.total_slots() + led.retry_slots >= remaining) return false;
-      }
-      if (wall_deadline &&
-          std::chrono::steady_clock::now() >= *wall_deadline) {
-        return false;
-      }
-      return true;
-    };
-
-    if (robust) {
-      const core::RobustEstimateResult result =
-          robust_estimator->estimate_with_rounds(channel, fit_rounds,
-                                                 req->seed, gate);
-      reply.n_hat = result.base.n_hat;
-      reply.ci_lo = result.interval.lo;
-      reply.ci_hi = result.interval.hi;
-      reply.rounds = result.base.rounds;
-      reply.truncated = result.base.truncated ? 1 : 0;
-      reply.health = static_cast<std::uint8_t>(result.diagnostic.health);
-      const sim::SlotLedger& led = result.base.ledger;
-      reply.query_slots = led.total_slots() + led.retry_slots;
-      if (result.base.truncated) record.degrade_mask |= kDegradeTruncated;
-      if (fit_rounds < planned) record.degrade_mask |= kDegradeFitShort;
-      if (result.retry_budget_exhausted) {
-        record.degrade_mask |= kDegradeRetryBudget;
-      }
-      if (result.diagnostic.contract_at_risk()) {
-        record.degrade_mask |= kDegradeHealth;
-      }
-    } else {
-      const core::EstimateResult result =
-          vanilla_estimator->estimate_with_rounds(channel, fit_rounds,
-                                                  req->seed, gate);
-      reply.n_hat = result.n_hat;
-      const core::ConfidenceInterval interval =
-          core::confidence_interval(result, req->delta);
-      reply.ci_lo = interval.lo;
-      reply.ci_hi = interval.hi;
-      reply.rounds = result.rounds;
-      reply.truncated = result.truncated ? 1 : 0;
-      reply.query_slots = result.ledger.total_slots();
-      if (result.truncated) record.degrade_mask |= kDegradeTruncated;
-      if (fit_rounds < planned) record.degrade_mask |= kDegradeFitShort;
-    }
-    reply.degraded = record.degrade_mask != 0 ? 1 : 0;
-    channel.flush_obs();
-  }
-
-  record.rounds = reply.rounds;
-  record.query_slots = reply.query_slots;
-  record.latency_slots = reply.backoff_slots + reply.query_slots;
-
-  // --- Per-population fold (the cells kMonitor and kMetrics both read) ----
-  pop.ok.fetch_add(1, std::memory_order_relaxed);
-  pop.retries.fetch_add(reply.retries, std::memory_order_relaxed);
-  pop.backoff_slots.fetch_add(reply.backoff_slots, std::memory_order_relaxed);
-  pop.query_slots.fetch_add(reply.query_slots, std::memory_order_relaxed);
-  pop.rounds.fetch_add(reply.rounds, std::memory_order_relaxed);
-  pop.rounds_planned.fetch_add(planned, std::memory_order_relaxed);
-  pop.observe_latency_slots(record.latency_slots);
-  if (reply.truncated != 0) {
-    pop.truncated.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (reply.truncated != 0 && budget > 0) {
-    // The slot budget stopped the round loop early: a deadline miss that
-    // still produced a (degraded) answer.
-    pop.deadline_misses.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().deadline_misses.add();
-  }
-  if (reply.degraded != 0) {
-    pop.degraded.fetch_add(1, std::memory_order_relaxed);
-    if (obs::counters_enabled()) obs::svc_instruments().req_degraded.add();
-  }
-  if (obs::counters_enabled()) {
-    const obs::SvcPopInstruments& bundle = obs::svc_pop_instruments();
-    bundle.ok.add();
-    bundle.retries.add(reply.retries);
-    bundle.backoff_slots.add(reply.backoff_slots);
-    bundle.query_slots.add(reply.query_slots);
-    bundle.rounds.add(reply.rounds);
-    bundle.rounds_planned.add(planned);
-    bundle.latency_slots.observe(static_cast<double>(record.latency_slots));
-    if (reply.truncated != 0) bundle.truncated.add();
-    if (reply.truncated != 0 && budget > 0) bundle.deadline_misses.add();
-    if (reply.degraded != 0) bundle.degraded.add();
-  }
+  record.status = static_cast<std::uint16_t>(StatusCode::kOk);
+  fold(entry->stats, record, req->deadline_slots);
   if (obs::full_enabled()) {
-    obs::trace_event("svc.estimate",
-                     {{"population", std::to_string(req->population_id)},
-                      {"rounds", std::to_string(reply.rounds)},
-                      {"planned", std::to_string(planned)},
-                      {"degraded", std::to_string(reply.degraded)},
-                      {"retries", std::to_string(reply.retries)}});
-  }
-
-  std::vector<std::uint8_t> payload = encode(reply);
-  // Publish only replies that are pure functions of the request: a round
-  // loop stopped by the drain flag or the wall-clock backstop produced
-  // bytes an identical future request would not reproduce.
-  const bool impure_truncation =
-      reply.truncated != 0 && (draining_.load(std::memory_order_relaxed) ||
-                               wall_deadline.has_value());
-  if (cache_.enabled() && !impure_truncation) {
-    ResultCache::Replay publish;
-    publish.planned_rounds = planned;
-    publish.rounds = reply.rounds;
-    publish.query_slots = reply.query_slots;
-    publish.backoff_slots = reply.backoff_slots;
-    publish.retries = reply.retries;
-    publish.degrade_mask = record.degrade_mask;
-    publish.degraded = reply.degraded;
-    publish.truncated = reply.truncated;
-    const std::size_t evicted = cache_.insert(cache_key, payload, publish);
-    if (obs::counters_enabled()) {
-      if (evicted > 0) obs::svc_cache_instruments().evictions.add(evicted);
-      obs::svc_cache_instruments().bytes.set(
-          static_cast<double>(cache_.stats().bytes));
-    }
+    obs::trace_event(
+        "svc.estimate",
+        {{"population", std::to_string(req->population_id)},
+         {"rounds", std::to_string(record.rounds)},
+         {"planned", std::to_string(record.planned_rounds)},
+         {"degraded", std::to_string(record.degrade_mask != 0 ? 1 : 0)},
+         {"retries", std::to_string(record.retries)},
+         {"cache_hit", std::to_string(record.cache_hit)}});
   }
   return make_response(CommandId::kEstimate,
                        static_cast<std::uint16_t>(StatusCode::kOk),

@@ -6,7 +6,7 @@
 //   submit() ─ route ─ admission ──> shard worker ── handle() ──> response
 //              │       │                            │
 //              │       ├ drain?   -> SHUTTING_DOWN  │├ cache hit -> stored
-//              │       └ shard    -> RESOURCE_      ││  payload, fold replay
+//              │       └ shard    -> RESOURCE_      ││  payload + record
 //              │         inflight    EXHAUSTED      │├ link fault? -> seeded
 //              │         > budget    (shed)         ││  retry w/ capped exp.
 //              │                                    ││  backoff; dry budget
@@ -26,8 +26,11 @@
 // charged per shard and a hot population cannot inflate a cold population's
 // latency.  In front of the shards sits a bounded LRU *result cache*
 // (cache.hpp) keyed on (population epoch, request seed, accuracy contract,
-// deadline, vote params); hits return the stored wire payload and replay
-// the per-population fold, so every deterministic export is cache-invariant.
+// deadline, vote params); a hit returns the stored wire payload and the
+// stored RequestRecord of the miss that computed it.  Every estimate that
+// finds its population — computed, cache hit, or typed error — is charged
+// by one fold of its record, so every deterministic export is
+// cache-invariant.
 //
 // Determinism contract: given the same request (id, seed, ε, δ, deadline)
 // against the same registered population and service seeds, the response —
@@ -90,9 +93,6 @@ struct ServiceConfig {
   unsigned vote_reads = 3;
   unsigned vote_quorum = 2;
 
-  /// Worst-case slot cost of one estimation round, used to decide how many
-  /// rounds fit a deadline budget *before* running (the degrade decision
-  /// must not depend on outcomes it hasn't computed yet).
   /// Wall-clock backstop (daemon only): when > 0, a request's slot budget
   /// is also mapped to a steady-clock deadline at slot_us microseconds per
   /// slot and the round gate additionally stops on wall overrun.  Breaks
@@ -232,11 +232,6 @@ class EstimationService {
   /// suffix for the error detail.
   std::string note_shed(const Frame& request, StatusCode status,
                         unsigned shard);
-
-  /// Replay a cache hit: fill the flight record, charge the per-population
-  /// fold deltas the miss path would have charged, bump the obs mirrors.
-  void replay_cache_hit(PopulationStats& pop, const ResultCache::Replay& rep,
-                        std::uint64_t budget, RequestRecord& record);
 
   ServiceConfig config_;
   PopulationRegistry registry_;

@@ -955,13 +955,13 @@ TEST(Cache, EvictionBoundsEntriesAndBytesUnderChurn) {
   ASSERT_TRUE(cache.enabled());
 
   const std::vector<std::uint8_t> payload(100, 0xAB);
-  svc::ResultCache::Replay replay;
+  svc::RequestRecord record;
   for (std::uint64_t i = 0; i < 100; ++i) {
     svc::ResultCache::Key key;
     key.epoch = 1;
     key.population_id = i;
     key.seed = i * 17;
-    (void)cache.insert(key, payload, replay);
+    (void)cache.insert(key, payload, record);
     const svc::ResultCacheStats stats = cache.stats();
     EXPECT_LE(stats.entries, config.max_entries);
     EXPECT_LE(stats.bytes, config.max_bytes);
@@ -972,23 +972,23 @@ TEST(Cache, EvictionBoundsEntriesAndBytesUnderChurn) {
 
   // Only the newest max_entries keys survive, oldest-first eviction.
   std::vector<std::uint8_t> out;
-  svc::ResultCache::Replay out_replay;
+  svc::RequestRecord out_record;
   svc::ResultCache::Key probe;
   probe.epoch = 1;
   probe.population_id = 0;
   probe.seed = 0;
-  EXPECT_FALSE(cache.lookup(probe, out, out_replay));
+  EXPECT_FALSE(cache.lookup(probe, out, out_record));
   probe.population_id = 99;
   probe.seed = 99 * 17;
-  EXPECT_TRUE(cache.lookup(probe, out, out_replay));
+  EXPECT_TRUE(cache.lookup(probe, out, out_record));
   EXPECT_EQ(out, payload);
 
   // A payload the byte budget can never hold is not cached at all.
   const std::vector<std::uint8_t> huge(config.max_bytes + 1, 0xCD);
   svc::ResultCache::Key huge_key;
   huge_key.epoch = 2;
-  (void)cache.insert(huge_key, huge, replay);
-  EXPECT_FALSE(cache.lookup(huge_key, out, out_replay));
+  (void)cache.insert(huge_key, huge, record);
+  EXPECT_FALSE(cache.lookup(huge_key, out, out_record));
   EXPECT_LE(cache.stats().bytes, config.max_bytes);
 }
 
@@ -1365,6 +1365,167 @@ TEST(ServiceObs, MonitorAndMetricsShareOneSourceOfTruth) {
             svc::StatusCode::kOk);
   EXPECT_EQ(service.stats().degraded, stats.degraded);
   EXPECT_EQ(service.stats().retries, stats.retries);
+}
+
+TEST(ServiceObs, OneFoldCountsEveryOutcomeAlikeWithCacheOnOrOff) {
+  // Every estimate outcome is charged by one fold, whether it was computed,
+  // replayed from the result cache, or refused.  A seeded script covering
+  // kOk, fit-short, UNAVAILABLE and both DEADLINE_EXCEEDED paths runs twice
+  // (so its kOk replies hit when the cache is on), then a drained service
+  // truncates one budgeted estimate and sheds one submission.  The service
+  // counters must agree across cache modes, with the registry cells they
+  // mirror, and with each other.
+  using namespace service_helpers;
+  using svc::StatusCode;
+  const obs::Level saved_level = obs::level();
+  obs::set_level(obs::Level::kCounters);
+
+  struct Step {
+    std::uint64_t seed_index;  // request seed = derive_seed(0x0B5, index)
+    std::uint64_t deadline_slots;
+    std::uint8_t robust;
+    StatusCode status;
+    bool degraded;       // kOk steps: the reply's degraded flag
+    const char* detail;  // error steps: which refusal path answered
+  };
+  // At reply_loss_prob 0.4, seeds 0, 1 and 5 draw link faults and retry;
+  // seed 65 faults on every attempt and exhausts the retry policy.
+  const std::vector<Step> script = {
+      {2, 0, 1, StatusCode::kOk, false, ""},
+      {0, 0, 0, StatusCode::kOk, false, ""},
+      {5, 60, 1, StatusCode::kOk, true, ""},  // fit-short after a retry
+      {2, 60, 0, StatusCode::kOk, true, ""},  // fit-short
+      {65, 0, 0, StatusCode::kUnavailable, false, "outlasted the retry"},
+      {0, 10, 0, StatusCode::kDeadlineExceeded, false,
+       "retry backoff consumed"},
+      {2, 10, 1, StatusCode::kDeadlineExceeded, false, "cannot fit"},
+  };
+
+  const auto run = [&](std::size_t cache_entries) {
+    obs::MetricsRegistry::instance().reset();
+    svc::ServiceConfig config;
+    config.worker_threads = 1;
+    config.cache_entries = cache_entries;
+    config.link_faults.reply_loss_prob = 0.4;
+    svc::EstimationService service(config);
+    EXPECT_EQ(status_of(service.handle(register_frame(3, 900, 0xFEED))),
+              StatusCode::kOk);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const Step& step : script) {
+        const svc::Frame response = service.handle(estimate_frame(
+            3, rng::derive_seed(0x0B5, step.seed_index), step.deadline_slots,
+            step.robust));
+        EXPECT_EQ(status_of(response), step.status);
+        if (step.status == StatusCode::kOk) {
+          const auto reply = svc::parse_estimate_reply(response.payload);
+          EXPECT_TRUE(reply.has_value());
+          if (reply) EXPECT_EQ(reply->degraded != 0, step.degraded);
+        } else {
+          EXPECT_NE(svc::error_detail(response).find(step.detail),
+                    std::string::npos)
+              << svc::error_detail(response);
+        }
+      }
+    }
+    // Draining trips the round gate after the first round: a budgeted
+    // estimate comes back truncated (a deadline miss, never cached), and a
+    // submission is shed against the population.
+    service.begin_shutdown();
+    const svc::Frame truncated = service.handle(
+        estimate_frame(3, rng::derive_seed(0x0B5, 7), 200, 0));
+    EXPECT_EQ(status_of(truncated), StatusCode::kOk);
+    const auto truncated_reply = svc::parse_estimate_reply(truncated.payload);
+    EXPECT_TRUE(truncated_reply.has_value() && truncated_reply->truncated);
+    EXPECT_EQ(status_of(service.submit(estimate_frame(3, 1)).get()),
+              StatusCode::kShuttingDown);
+
+    const obs::Snapshot metrics = obs::MetricsRegistry::instance().snapshot();
+    const svc::PopulationStatsSnapshot store = service.registry().fold_stats();
+
+    // Mirror matches store.
+    const std::vector<std::pair<const char*, std::uint64_t>> cells = {
+        {"pet.svc.pop.requests", store.requests},
+        {"pet.svc.pop.ok", store.ok},
+        {"pet.svc.pop.degraded", store.degraded},
+        {"pet.svc.pop.truncated", store.truncated},
+        {"pet.svc.pop.errors", store.errors},
+        {"pet.svc.pop.shed", store.shed},
+        {"pet.svc.pop.deadline_misses", store.deadline_misses},
+        {"pet.svc.pop.retries", store.retries},
+        {"pet.svc.pop.backoff_slots", store.backoff_slots},
+        {"pet.svc.pop.query_slots", store.query_slots},
+        {"pet.svc.pop.rounds", store.rounds},
+        {"pet.svc.pop.rounds_planned", store.rounds_planned},
+        {"pet.svc.pop.cache_hits", store.cache_hits},
+    };
+    for (const auto& [name, value] : cells) {
+      EXPECT_EQ(metrics.counter(name), value)
+          << name << " at cache_entries=" << cache_entries;
+    }
+    const obs::Snapshot::HistogramValue* latency =
+        metrics.histogram("pet.svc.pop.latency_slots");
+    EXPECT_NE(latency, nullptr);
+    if (latency != nullptr) {
+      EXPECT_TRUE(std::equal(latency->counts.begin(), latency->counts.end(),
+                             store.latency_slots.begin(),
+                             store.latency_slots.end()));
+      // Totals add up: one latency sample per estimate that found its
+      // population, and each of those is either ok or a typed error.
+      EXPECT_EQ(latency->total(), store.requests);
+    }
+    EXPECT_EQ(store.requests, store.ok + store.errors);
+
+    // Service-wide counters agree with the per-population cells.
+    EXPECT_EQ(metrics.counter("svc.retry.attempts"), store.retries)
+        << "cache_entries=" << cache_entries;
+    EXPECT_EQ(metrics.counter("svc.retry.backoff_slots"), store.backoff_slots)
+        << "cache_entries=" << cache_entries;
+    EXPECT_EQ(metrics.counter("svc.deadline.misses"), store.deadline_misses);
+    EXPECT_EQ(metrics.counter("svc.req.degraded"), store.degraded);
+
+    // The script reached every outcome it claims to.
+    EXPECT_GT(store.retries, 0u);
+    EXPECT_EQ(store.truncated, 1u);
+    EXPECT_EQ(store.shed, 1u);
+    EXPECT_EQ(store.errors, 6u);
+    EXPECT_EQ(metrics.counter("svc.retry.exhausted"), 2u);
+    return metrics;
+  };
+
+  const obs::Snapshot off = run(0);
+  const obs::Snapshot on = run(256);
+  EXPECT_EQ(off.counter("pet.svc.pop.cache_hits"), 0u);
+  EXPECT_EQ(on.counter("pet.svc.pop.cache_hits"), 4u)
+      << "the second pass replays every cacheable kOk reply";
+
+  // Cache invariance over the service counters.  Only the cache's own
+  // counters may differ; chan.* and core.robust.* count the channel work a
+  // hit skips, so they are outside the service's fold.
+  const auto folded = [](const std::string& name) {
+    const bool service = name.rfind("svc.", 0) == 0 ||
+                         name.rfind("pet.svc.", 0) == 0;
+    return service && name.rfind("pet.svc.cache.", 0) != 0 &&
+           name != "pet.svc.pop.cache_hits";
+  };
+  std::size_t compared = 0;
+  for (const obs::Snapshot::CounterValue& counter : off.counters) {
+    if (counter.domain != obs::Domain::kDeterministic ||
+        !folded(counter.name)) {
+      continue;
+    }
+    ++compared;
+    EXPECT_EQ(on.counter(counter.name), counter.value)
+        << counter.name << " differs between cache off and on";
+  }
+  EXPECT_GT(compared, 20u);
+  const obs::Snapshot::HistogramValue* latency_off =
+      off.histogram("pet.svc.pop.latency_slots");
+  const obs::Snapshot::HistogramValue* latency_on =
+      on.histogram("pet.svc.pop.latency_slots");
+  ASSERT_NE(latency_off, nullptr);
+  ASSERT_NE(latency_on, nullptr);
+  EXPECT_EQ(latency_off->counts, latency_on->counts);
+  obs::set_level(saved_level);
 }
 
 TEST(ServiceObs, PopulationScopeFiltersKnownAndRejectsUnknown) {
