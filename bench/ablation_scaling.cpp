@@ -189,70 +189,5 @@ int main(int argc, char** argv) {
   }
   build_table.print();
 
-  // --- u32-staged engine parity ----------------------------------------
-  // Third table: the second sorting engine (radix_sort_u32_staged) pinned
-  // byte-for-byte against std::sort ground truth, which sidesteps the gate
-  // circularity — radix_sort_u64 itself routes narrow 10^7+ builds to the
-  // staged engine, so it cannot serve as the referee there.  Quick stays
-  // below the kU32StagedMinKeys gate (engine forced explicitly); the full
-  // run adds a 2*10^7 point where radix_sort_u64's automatic routing also
-  // crosses the gate, and parity covers both entry points.
-  const std::vector<std::uint64_t> staged_sizes =
-      quick ? std::vector<std::uint64_t>{200000ull, 1000000ull}
-            : std::vector<std::uint64_t>{1000000ull, 20000000ull};
-  bench::TablePrinter staged_table(
-      "u32-staged build: byte parity vs comparison-sort ground truth",
-      {"n", "key bits", "staged checksum", "parity"}, options.csv);
-  staged_table.bind(&session.report());
-
-  for (const std::uint64_t n : staged_sizes) {
-    // SplitMix64 stream masked to 32 bits: deterministic narrow keys with
-    // every byte lane active, independent of the channel machinery.
-    std::vector<std::uint64_t> keys(n);
-    std::uint64_t state = options.seed + 0x9e3779b97f4a7c15ULL;
-    for (auto& key : keys) {
-      state += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = state;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      key = (z ^ (z >> 31)) & 0xffffffffULL;
-    }
-
-    std::vector<std::uint64_t> truth = keys;
-    const auto sort_start = std::chrono::steady_clock::now();
-    std::sort(truth.begin(), truth.end());
-    const double sort_wall = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - sort_start)
-                                 .count();
-
-    std::vector<std::uint64_t> staged = keys;
-    std::vector<std::uint64_t> scratch;
-    const auto staged_start = std::chrono::steady_clock::now();
-    radix_sort_u32_staged(staged, scratch, 32);
-    const double staged_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      staged_start)
-            .count();
-
-    // The gated entry point: radix_sort_u64 routes here automatically at
-    // kU32StagedMinKeys and must agree wherever it lands.
-    std::vector<std::uint64_t> gated = keys;
-    radix_sort_u64(gated, scratch, 32);
-
-    const bool parity = staged == truth && gated == truth;
-    staged_table.add_row({bench::TablePrinter::num(n),
-                          bench::TablePrinter::num(std::uint64_t{32}),
-                          code_checksum(staged), parity ? "ok" : "FAIL"});
-    if (!options.quiet) {
-      std::fprintf(stderr,
-                   "staged n=%llu: %.0f keys/s (std::sort %.0f keys/s, "
-                   "gate at %llu)\n",
-                   static_cast<unsigned long long>(n),
-                   static_cast<double>(n) / staged_wall,
-                   static_cast<double>(n) / sort_wall,
-                   static_cast<unsigned long long>(kU32StagedMinKeys));
-    }
-  }
-  staged_table.print();
   return 0;
 }

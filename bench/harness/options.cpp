@@ -5,7 +5,6 @@
 #include <exception>
 #include <string_view>
 
-#include "common/fastpath.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "runtime/cancel.hpp"
@@ -33,11 +32,7 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
           "  --json=PATH  result artifact path (default "
           "BENCH_<target>.json)\n"
           "  --obs=LEVEL  observability level off|counters|full "
-          "(default counters)\n"
-          "  --fast-path=on|off  oracle rounds + channel arenas (default on;\n"
-          "               off replays the historical probed path — results\n"
-          "               are bit-identical either way, see "
-          "docs/performance.md)\n");
+          "(default counters)\n");
       std::exit(0);
     } else if (arg == "--quick") {
       options.runs = 30;
@@ -60,16 +55,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
       options.json = std::string(arg.substr(7));
       if (options.json.empty()) {
         std::fprintf(stderr, "--json needs a path\n");
-        std::exit(2);
-      }
-    } else if (arg.rfind("--fast-path=", 0) == 0) {
-      const std::string_view value = arg.substr(12);
-      if (value == "on") {
-        set_fast_path(true);
-      } else if (value == "off") {
-        set_fast_path(false);
-      } else {
-        std::fprintf(stderr, "--fast-path must be on or off\n");
         std::exit(2);
       }
     } else if (arg.rfind("--obs=", 0) == 0) {

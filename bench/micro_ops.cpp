@@ -116,12 +116,11 @@ BENCHMARK(BM_FullEstimate50kTags)->Unit(benchmark::kMillisecond);
 // -- obs overhead (docs/observability.md records the numbers) -------------
 //
 // BM_ObsCounterAddDisabled is the cost every instrumentation site pays when
-// observability is compiled in but off: one relaxed load + branch.
+// observability is off: one relaxed load + branch.
 // BM_ObsCounterAddEnabled adds the thread-local shard fetch_add.
 // BM_PetRoundObs{Off,Counters} measure the real hot path — a full PET round
 // on the sorted channel — under both levels; their ratio is the "<= 2%
-// disabled overhead" acceptance number (compare Off against a
-// -DPET_OBS=OFF build of the same benchmark for the compiled-out floor).
+// disabled overhead" acceptance number.
 
 void BM_ObsCounterAddDisabled(benchmark::State& state) {
   obs::set_level(obs::Level::kOff);

@@ -9,12 +9,14 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 BENCH="$BUILD_DIR/bench"
 BENCHDIFF="$BUILD_DIR/tools/benchdiff"
+FASTPATH_TEST="$BUILD_DIR/tests/fastpath_test"
 GOLDEN_DIR="$(cd "$(dirname "$0")/.." && pwd)/bench/golden"
 fail() { echo "REPRO CHECK FAILED: $*" >&2; exit 1; }
 
 command -v python3 >/dev/null || fail "python3 required"
 [ -x "$BENCH/table4_eps_slots" ] || fail "benches not built in $BUILD_DIR"
 [ -x "$BENCHDIFF" ] || fail "benchdiff not built in $BUILD_DIR"
+[ -x "$FASTPATH_TEST" ] || fail "fastpath_test not built in $BUILD_DIR"
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -99,15 +101,14 @@ done
 echo "ok: all four artifacts within tolerance of bench/golden/"
 
 echo "== claim 6: fast-round pipeline is bit-identical to the reference =="
-# Same build, same seeds, --fast-path toggled; rows and summary stats must
-# agree *exactly* (rtol 0), not just within tolerance (docs/performance.md).
-"$BENCH/table3_pet_slots" --quick --quiet --fast-path=on \
-    --json="$WORK/BENCH_t3_fast_on.json" > /dev/null
-"$BENCH/table3_pet_slots" --quick --quiet --fast-path=off \
-    --json="$WORK/BENCH_t3_fast_off.json" > /dev/null
-"$BENCHDIFF" "$WORK/BENCH_t3_fast_on.json" "$WORK/BENCH_t3_fast_off.json" \
-    --rtol=0 --atol=0 \
-    || fail "fast-path on/off artifacts diverge (see docs/performance.md)"
+# Every (m, run) trial of table3_pet_slots --quick, built as the bench
+# builds it (arena SortedPetChannel, oracle rounds), must equal a fresh
+# ExactChannel bit for bit, ledger and airtime included (docs/performance.md).
+"$FASTPATH_TEST" --gtest_filter=FastPath.Table3QuickGridMatchesExactChannel \
+    > "$WORK/claim6.log" \
+    || { tail -n 40 "$WORK/claim6.log" >&2;
+         fail "production trials diverge from ExactChannel (see docs/performance.md)"; }
+grep "trials identical" "$WORK/claim6.log"
 echo "ok: fast path reproduces the reference sweep bit for bit"
 
 echo "== claim 7: robustness tables match the checked-in golden =="
@@ -157,14 +158,15 @@ print("ok: capture invariant, noise degrading, artifacts match golden")
 EOF
 
 echo "== claim 9: SIMD batch hashing is bit-identical to scalar dispatch =="
-# Same build, same seeds, PET_SIMD=off pinning the scalar fallback; the
-# rows must agree exactly (rtol 0).  Runs on top of --fast-path=on so the
-# gate covers the production pipeline end to end: batch hash -> radix
-# partition -> oracle rounds (docs/performance.md).  The on-dispatch
-# artifact reuses claim 6's run.
-PET_SIMD=off "$BENCH/table3_pet_slots" --quick --quiet --fast-path=on \
+# Same build, same seeds, default dispatch vs PET_SIMD=off pinning the
+# scalar fallback; the rows must agree exactly (rtol 0).  The sweep runs
+# the production pipeline end to end: batch hash -> radix partition ->
+# oracle rounds (docs/performance.md).
+"$BENCH/table3_pet_slots" --quick --quiet \
+    --json="$WORK/BENCH_t3_simd_on.json" > /dev/null
+PET_SIMD=off "$BENCH/table3_pet_slots" --quick --quiet \
     --json="$WORK/BENCH_t3_simd_off.json" > /dev/null
-"$BENCHDIFF" "$WORK/BENCH_t3_fast_on.json" "$WORK/BENCH_t3_simd_off.json" \
+"$BENCHDIFF" "$WORK/BENCH_t3_simd_on.json" "$WORK/BENCH_t3_simd_off.json" \
     --rtol=0 --atol=0 \
     || fail "SIMD on/off artifacts diverge (see docs/performance.md)"
 echo "ok: SIMD dispatch reproduces the scalar sweep bit for bit"

@@ -5,8 +5,7 @@
 # a clean exit.  Pass criteria:
 #   * petctl soak exits 0 (server answered liveness pings throughout —
 #     no crash, no hang, typed errors only);
-#   * petctl top --once renders the live kMetrics dashboard (or reports the
-#     export as unavailable on a PET_OBS=OFF build — also exit 0);
+#   * petctl top --once renders the live kMetrics dashboard (exit 0);
 #   * SIGUSR1 produces a non-empty Prometheus exposition dump, validated by
 #     obscheck --prom when an obscheck binary is supplied;
 #   * petd exits 0 after SIGTERM within the watchdog budget (graceful
@@ -51,7 +50,7 @@ fi
           --tags=3000 --chaos-loss=0.15 --chaos-noise=0.15 --chaos-close=0.05
 
 # Observability plane: the live dashboard must render one frame against the
-# still-running daemon (on PET_OBS=OFF builds it prints a notice, exit 0).
+# still-running daemon.
 "$PETCTL" --socket="$SOCK" top --once
 
 # SIGUSR1 triggers an atomic Prometheus exposition dump; the accept loop

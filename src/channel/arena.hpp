@@ -7,9 +7,7 @@
 // is re-keyed per trial — SortedPetChannel::rebuild / SampledChannel::reset
 // reinstate exactly the freshly-constructed state while retaining every
 // buffer, so steady-state trials allocate nothing (docs/performance.md).
-//
-// Callers gate use on pet::fast_path_enabled(): the slow path keeps the
-// historical per-trial construction for A/B comparison.
+// tests/fastpath_test.cpp pins arena trials against fresh channels.
 #pragma once
 
 #include <cstdint>

@@ -14,15 +14,6 @@ void radix_sort_u64(std::vector<std::uint64_t>& values,
                     unsigned key_bits) {
   const std::size_t n = values.size();
   if (n < 2) return;
-  if (key_bits <= 32 && n >= kU32StagedMinKeys) {
-    // Narrow-key builds big enough to amortize the narrow/widen copies run
-    // on the u32-staged engine (same output permutation, half the scatter
-    // traffic).  The parallel sort's MSB-partition path is deliberately NOT
-    // gated: its per-bucket runs are far below the threshold, so staging
-    // would only add copies there.
-    radix_sort_u32_staged(values, scratch, key_bits);
-    return;
-  }
   scratch.resize(n);
   const unsigned digits = (std::min(key_bits, 64u) + 7) / 8;
 
@@ -58,61 +49,6 @@ void radix_sort_u64(std::vector<std::uint64_t>& values,
   if (src != values.data()) {
     // Odd number of scatter passes: the sorted run lives in scratch.
     values.swap(scratch);
-  }
-}
-
-void radix_sort_u32_staged(std::vector<std::uint64_t>& values,
-                           std::vector<std::uint64_t>& scratch,
-                           unsigned key_bits) {
-  const std::size_t n = values.size();
-  if (n < 2) return;
-  key_bits = std::min(key_bits, 32u);
-  // Keep the public buffer contract identical to radix_sort_u64 (scratch
-  // resized, previous contents destroyed) so the two engines are drop-in
-  // interchangeable for callers that reuse arena buffers.
-  scratch.resize(n);
-  const unsigned digits = (key_bits + 7) / 8;
-
-  // Narrow once into u32 staging arrays: every subsequent histogram read
-  // and scatter write moves half the bytes and fits twice the keys per
-  // cache line, which is where the 10^7+ win comes from.
-  std::vector<std::uint32_t> narrow(n);
-  std::vector<std::uint32_t> stage(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    narrow[i] = static_cast<std::uint32_t>(values[i]);
-  }
-
-  // Same one-read-pass histogram + digit-skip structure as the u64 engine.
-  std::array<std::array<std::uint32_t, 256>, 4> counts{};
-  for (const std::uint32_t v : narrow) {
-    for (unsigned d = 0; d < digits; ++d) {
-      ++counts[d][(v >> (8 * d)) & 0xff];
-    }
-  }
-
-  std::uint32_t* src = narrow.data();
-  std::uint32_t* dst = stage.data();
-  for (unsigned d = 0; d < digits; ++d) {
-    std::array<std::uint32_t, 256>& count = counts[d];
-    const std::uint32_t first_bucket = count[(src[0] >> (8 * d)) & 0xff];
-    if (first_bucket == n) continue;  // digit constant: pass is a no-op
-
-    std::uint32_t offset = 0;
-    for (std::uint32_t& c : count) {
-      const std::uint32_t bucket = c;
-      c = offset;
-      offset += bucket;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t v = src[i];
-      dst[count[(v >> (8 * d)) & 0xff]++] = v;
-    }
-    std::swap(src, dst);
-  }
-
-  // Widen back from whichever staging array holds the sorted run.
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] = src[i];
   }
 }
 

@@ -14,8 +14,6 @@
 //  2. **Near-zero disabled cost.**  Every instrumentation site guards on one
 //     relaxed atomic load of the global level (`counters_enabled()`); with
 //     observability disabled the hot path pays a single predictable branch.
-//     Compiling with -DPET_OBS_DISABLED (CMake option PET_OBS=OFF) removes
-//     even that.
 //  3. **Thread safety without locks on the hot path.**  Each thread owns a
 //     fixed-size shard of relaxed atomic cells; registration and snapshot
 //     take the registry mutex, increments never do.  Shards of exited
@@ -29,12 +27,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#if defined(PET_OBS_DISABLED)
-#define PET_OBS_COMPILED 0
-#else
-#define PET_OBS_COMPILED 1
-#endif
 
 namespace pet::obs {
 
@@ -60,20 +52,12 @@ inline void set_level(Level level) noexcept {
 }
 /// The one branch every instrumentation site pays when observability is off.
 [[nodiscard]] inline bool counters_enabled() noexcept {
-#if PET_OBS_COMPILED
   return detail::g_level.load(std::memory_order_relaxed) >=
          static_cast<std::uint8_t>(Level::kCounters);
-#else
-  return false;
-#endif
 }
 [[nodiscard]] inline bool full_enabled() noexcept {
-#if PET_OBS_COMPILED
   return detail::g_level.load(std::memory_order_relaxed) >=
          static_cast<std::uint8_t>(Level::kFull);
-#else
-  return false;
-#endif
 }
 
 /// Raw level byte for call sites that snapshot the level at a coarse
@@ -81,14 +65,9 @@ inline void set_level(Level level) noexcept {
 /// per-slot code: one plain load instead of an atomic load per slot, which
 /// is what keeps the disabled hot path within the <= 2% overhead budget
 /// (bench/micro_ops BM_PetRoundObsOff).  Level changes take effect at the
-/// next boundary, never mid-round.  Always 0 when compiled out, so the
-/// cached-byte guards below constant-fold away under PET_OBS=OFF.
+/// next boundary, never mid-round.
 [[nodiscard]] inline std::uint8_t level_byte() noexcept {
-#if PET_OBS_COMPILED
   return detail::g_level.load(std::memory_order_relaxed);
-#else
-  return 0;
-#endif
 }
 [[nodiscard]] constexpr bool counters_enabled(std::uint8_t cached) noexcept {
   return cached >= static_cast<std::uint8_t>(Level::kCounters);
@@ -106,7 +85,7 @@ class MetricsRegistry;
 
 /// Cheap copyable handle to a registered counter.  A default-constructed
 /// handle is inert (add() is a no-op) so static bundles stay safe even if
-/// registration is skipped in PET_OBS_DISABLED builds.
+/// registration is skipped.
 class Counter {
  public:
   Counter() = default;
@@ -244,34 +223,22 @@ class MetricsRegistry {
 };
 
 inline void Counter::add(std::uint64_t delta) const noexcept {
-#if PET_OBS_COMPILED
   if (slot_ == UINT32_MAX) return;
   MetricsRegistry::local_shard().cells[slot_].fetch_add(
       delta, std::memory_order_relaxed);
-#else
-  (void)delta;
-#endif
 }
 
 inline void Gauge::set(double value) const noexcept {
-#if PET_OBS_COMPILED
   if (index_ == UINT32_MAX) return;
   MetricsRegistry::instance().set_gauge(index_, value);
-#else
-  (void)value;
-#endif
 }
 
 inline void Histogram::observe(double value) const noexcept {
-#if PET_OBS_COMPILED
   if (bounds_ == nullptr) return;
   std::uint32_t bucket = 0;
   while (bucket < bounds_->size() && value > (*bounds_)[bucket]) ++bucket;
   MetricsRegistry::local_shard().cells[first_slot_ + bucket].fetch_add(
       1, std::memory_order_relaxed);
-#else
-  (void)value;
-#endif
 }
 
 }  // namespace pet::obs

@@ -35,8 +35,9 @@ enum class StatusCode : std::uint16_t {
   kShuttingDown = 10,      ///< drain in progress; no new work accepted
   kInternal = 11,          ///< invariant failure inside the service
 
-  // Capability errors.
-  kUnsupported = 12,  ///< command compiled out of this build (PET_OBS=OFF)
+  // Capability errors.  The v1 numbering is frozen, so the code stays
+  // reserved for a build that lacks a command; this build never sends it.
+  kUnsupported = 12,
 };
 
 [[nodiscard]] constexpr std::string_view to_string(StatusCode code) noexcept {

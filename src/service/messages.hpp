@@ -27,7 +27,7 @@ enum class CommandId : std::uint16_t {
   kUnregister = 3,  ///< UnregisterRequest -> empty
   kEstimate = 4,    ///< EstimateRequest -> EstimateReply
   kMonitor = 5,     ///< empty -> MonitorReply (service-wide stats)
-  // v1.1 additions (observability plane; UNSUPPORTED under PET_OBS=OFF).
+  // v1.1 additions (observability plane).
   kMetrics = 6,     ///< MetricsRequest -> pet.obs.v1 JSON payload (UTF-8)
   kFlightDump = 7,  ///< FlightDumpRequest -> FlightDumpReply
 };

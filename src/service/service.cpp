@@ -354,7 +354,6 @@ EstimationService::EstimationService(ServiceConfig config)
   shards_ = std::make_unique<ShardSet>(config_.resolved_shards(),
                                        config_.resolved_worker_threads(),
                                        config_.max_inflight);
-#if PET_OBS_COMPILED
   // Touch the service bundles so their names exist (at zero) in every
   // export — obscheck's --require probes and Prometheus scrapes see the
   // full catalogue even before the first request.
@@ -363,7 +362,6 @@ EstimationService::EstimationService(ServiceConfig config)
   (void)obs::svc_conn_instruments();
   (void)obs::svc_cache_instruments();
   (void)obs::svc_shard_instruments();
-#endif
 }
 
 EstimationService::~EstimationService() {
@@ -506,9 +504,7 @@ std::string EstimationService::note_shed(const Frame& request,
       }
     }
   }
-#if PET_OBS_COMPILED
   flight_.record(record);
-#endif
   return request_id_suffix(record.request_id);
 }
 
@@ -665,9 +661,7 @@ Frame EstimationService::handle_request(const Frame& request,
     span->add("population", std::to_string(record.population_id));
     span->add("degrade_mask", std::to_string(record.degrade_mask));
   }
-#if PET_OBS_COMPILED
   flight_.record(record);
-#endif
   return response;
 }
 
@@ -757,13 +751,6 @@ MonitorReply EstimationService::stats() const {
 
 Frame EstimationService::handle_metrics(const Frame& request,
                                         RequestRecord& record) {
-#if !PET_OBS_COMPILED
-  (void)record;
-  (void)request;
-  if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
-  return ready_error(CommandId::kMetrics, StatusCode::kUnsupported,
-                     "metrics export compiled out (PET_OBS=OFF)");
-#else
   const auto req = parse_metrics_request(request.payload);
   if (!req) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
@@ -798,16 +785,9 @@ Frame EstimationService::handle_metrics(const Frame& request,
   if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
   return ready_error(CommandId::kMetrics, StatusCode::kInvalidArgument,
                      "unknown metrics scope");
-#endif
 }
 
 Frame EstimationService::handle_flight_dump(const Frame& request) {
-#if !PET_OBS_COMPILED
-  (void)request;
-  if (obs::counters_enabled()) obs::svc_instruments().req_rejected.add();
-  return ready_error(CommandId::kFlightDump, StatusCode::kUnsupported,
-                     "flight recorder compiled out (PET_OBS=OFF)");
-#else
   const auto req = parse_flight_dump_request(request.payload);
   if (!req) {
     malformed_.fetch_add(1, std::memory_order_relaxed);
@@ -820,7 +800,6 @@ Frame EstimationService::handle_flight_dump(const Frame& request) {
   return make_response(CommandId::kFlightDump,
                        static_cast<std::uint16_t>(StatusCode::kOk),
                        encode(reply));
-#endif
 }
 
 Frame EstimationService::handle_estimate(const Frame& request,

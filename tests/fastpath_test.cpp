@@ -1,15 +1,19 @@
 // Fast-round pipeline conformance: the DepthOracle-synthesized probes,
 // batched hashing, radix sort, rebuild(), and the per-thread channel arenas
-// must be *byte-identical* to the reference path — same EstimateResult,
+// must be *byte-identical* to the reference paths — same EstimateResult,
 // same SlotLedger down to the floating-point airtime sum — for every
 // (n, H, seed) including the degenerate populations n = 0 and n = 1 and
-// the H = 64 prefix-range wrap (docs/performance.md).
+// the H = 64 prefix-range wrap (docs/performance.md).  The references are
+// picked by channel type: ExactChannel (element-wise hashing, no sort,
+// probed rounds) or a SortedPetChannel behind ProbedOnly, which hides its
+// DepthOracle so the estimators issue every probe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <optional>
+#include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "channel/arena.hpp"
@@ -17,31 +21,39 @@
 #include "channel/sampled_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
 #include "common/bitcode.hpp"
-#include "common/fastpath.hpp"
 #include "common/radix.hpp"
 #include "core/estimator.hpp"
 #include "core/robust_estimator.hpp"
 #include "rng/hash_family.hpp"
 #include "rng/prng.hpp"
+#include "runtime/trial_runner.hpp"
 #include "tags/population.hpp"
 
 namespace {
 
 using namespace pet;
 
-// Restores the process-wide fast-path switch on scope exit so a failing
-// assertion cannot leak a disabled fast path into later tests.
-class FastPathGuard {
+// Forwards every PrefixChannel call but hides the inner channel's
+// DepthOracle, so an estimator over it takes the probed path.
+class ProbedOnly final : public chan::PrefixChannel {
  public:
-  explicit FastPathGuard(bool on) : prev_(fast_path_enabled()) {
-    set_fast_path(on);
+  explicit ProbedOnly(chan::PrefixChannel& inner) : inner_(inner) {}
+  void begin_round(const chan::RoundConfig& round) override {
+    inner_.begin_round(round);
   }
-  ~FastPathGuard() { set_fast_path(prev_); }
-  FastPathGuard(const FastPathGuard&) = delete;
-  FastPathGuard& operator=(const FastPathGuard&) = delete;
+  bool query_prefix(unsigned len) override {
+    return inner_.query_prefix(len);
+  }
+  void note_retries(std::uint64_t slots) noexcept override {
+    inner_.note_retries(slots);
+  }
+  const sim::SlotLedger& ledger() const noexcept override {
+    return inner_.ledger();
+  }
+  void reset_ledger() noexcept override { inner_.reset_ledger(); }
 
  private:
-  bool prev_;
+  chan::PrefixChannel& inner_;
 };
 
 // Bitwise double comparison: "byte-identical" includes NaN payloads and
@@ -81,7 +93,8 @@ constexpr core::SearchMode kModes[] = {core::SearchMode::kLinear,
                                        core::SearchMode::kBinaryStrict};
 
 // ---------------------------------------------------------------------------
-// End-to-end: fast path vs the ExactChannel reference back end.
+// End-to-end: oracle rounds on SortedPetChannel vs the ExactChannel
+// reference back end.
 
 TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
   rng::SplitMix64 gen(0xfa57ull);
@@ -109,7 +122,6 @@ TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
 
     core::EstimateResult reference;
     {
-      FastPathGuard guard(false);
       chan::ExactChannelConfig exact_config;
       exact_config.tree_height = height;
       exact_config.manufacturing_seed = manufacturing_seed;
@@ -119,7 +131,6 @@ TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
     }
     core::EstimateResult fast;
     {
-      FastPathGuard guard(true);
       chan::SortedPetChannelConfig sorted_config;
       sorted_config.tree_height = height;
       sorted_config.manufacturing_seed = manufacturing_seed;
@@ -157,13 +168,12 @@ TEST(FastPath, FastAndSlowSortedChannelBitIdentical) {
 
     core::EstimateResult slow;
     {
-      FastPathGuard guard(false);
       chan::SortedPetChannel channel(ids, sorted_config);
-      slow = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
+      ProbedOnly probed(channel);
+      slow = estimator.estimate_with_rounds(probed, rounds, estimate_seed);
     }
     core::EstimateResult fast;
     {
-      FastPathGuard guard(true);
       chan::SortedPetChannel channel(ids, sorted_config);
       fast = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
     }
@@ -207,15 +217,16 @@ TEST(FastPath, RobustVotingParityIncludingRetryAccounting) {
     sorted_config.tree_height = test_case.height;
     sorted_config.manufacturing_seed = manufacturing_seed;
 
+    // ProbedOnly sends the robust estimator through VotingChannel; the
+    // bare channel through OracleVotingChannel.
     core::RobustEstimateResult slow;
     {
-      FastPathGuard guard(false);
       chan::SortedPetChannel channel(ids, sorted_config);
-      slow = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
+      ProbedOnly probed(channel);
+      slow = estimator.estimate_with_rounds(probed, rounds, estimate_seed);
     }
     core::RobustEstimateResult fast;
     {
-      FastPathGuard guard(true);
       chan::SortedPetChannel channel(ids, sorted_config);
       fast = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
     }
@@ -387,32 +398,27 @@ TEST(FastPath, RebuildEquivalentToFreshConstruction) {
   core::PetConfig config;
   const core::PetEstimator estimator(config, {0.05, 0.01});
 
-  for (const bool fast : {false, true}) {
-    FastPathGuard guard(fast);
-    SCOPED_TRACE(testing::Message() << "fast=" << fast);
-    chan::SortedPetChannelConfig first;
-    first.manufacturing_seed = 111;
-    chan::SortedPetChannelConfig second;
-    second.manufacturing_seed = 222;
+  chan::SortedPetChannelConfig first;
+  first.manufacturing_seed = 111;
+  chan::SortedPetChannelConfig second;
+  second.manufacturing_seed = 222;
 
-    chan::SortedPetChannel reused(ids, first);
-    const auto before = estimator.estimate_with_rounds(reused, 8, 42);
-    reused.rebuild(222);
-    reused.reset_ledger();
-    const auto after = estimator.estimate_with_rounds(reused, 8, 43);
+  chan::SortedPetChannel reused(ids, first);
+  const auto before = estimator.estimate_with_rounds(reused, 8, 42);
+  reused.rebuild(222);
+  reused.reset_ledger();
+  const auto after = estimator.estimate_with_rounds(reused, 8, 43);
 
-    chan::SortedPetChannel fresh_first(ids, first);
-    expect_result_identical(
-        before, estimator.estimate_with_rounds(fresh_first, 8, 42));
-    chan::SortedPetChannel fresh_second(ids, second);
-    expect_result_identical(
-        after, estimator.estimate_with_rounds(fresh_second, 8, 43));
-    EXPECT_EQ(reused.tag_count(), ids.size());
-  }
+  chan::SortedPetChannel fresh_first(ids, first);
+  expect_result_identical(
+      before, estimator.estimate_with_rounds(fresh_first, 8, 42));
+  chan::SortedPetChannel fresh_second(ids, second);
+  expect_result_identical(
+      after, estimator.estimate_with_rounds(fresh_second, 8, 43));
+  EXPECT_EQ(reused.tag_count(), ids.size());
 }
 
 TEST(FastPath, SortedChannelArenaMatchesFreshChannels) {
-  FastPathGuard guard(true);
   const auto ids = make_ids(800, 0xa4e4aULL);
   core::PetConfig config;
   const core::PetEstimator estimator(config, {0.05, 0.01});
@@ -433,7 +439,6 @@ TEST(FastPath, SortedChannelArenaMatchesFreshChannels) {
 }
 
 TEST(FastPath, SampledChannelArenaMatchesFreshChannels) {
-  FastPathGuard guard(true);
   core::PetConfig config;
   const core::PetEstimator estimator(config, {0.05, 0.01});
 
@@ -448,6 +453,71 @@ TEST(FastPath, SampledChannelArenaMatchesFreshChannels) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     expect_result_identical(got, want);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The production sweep vs the reference back end, trial for trial
+// (scripts/check_repro.sh claim 6).
+
+// Every (m, run) trial of `table3_pet_slots --quick` at its default seed,
+// built as bench::run_pet builds it: an arena SortedPetChannel with oracle
+// rounds.  Each must equal a fresh ExactChannel bit for bit, ledger and
+// airtime sum included.  The reference differs from production in every
+// layer: element-wise hashing, no sort, a fresh channel per trial, probed
+// rounds.  Trials are spread over a trial runner, as the bench spreads them.
+TEST(FastPath, Table3QuickGridMatchesExactChannel) {
+  constexpr std::uint64_t kTags = 50000;  // bench/table3_pet_slots.cpp
+  constexpr std::uint64_t kRuns = 30;     // --quick
+  constexpr std::uint64_t kSeed = 1;      // harness default --seed
+  const std::uint64_t grid[] = {8, 16, 32, 64, 128, 256, 512, 1024};
+  const auto ids = make_ids(kTags, 0xdecafULL);  // bench::run_pet's
+  const core::PetConfig config;
+  const core::PetEstimator estimator(config, {0.05, 0.01});
+  runtime::TrialRunner runner;
+  const auto failures = [] {
+    return testing::UnitTest::GetInstance()
+        ->current_test_info()
+        ->result()
+        ->total_part_count();
+  };
+
+  std::uint64_t identical = 0;
+  for (const std::uint64_t m : grid) {
+    const std::uint64_t seed = kSeed + m;
+    runner.run<std::pair<core::EstimateResult, core::EstimateResult>>(
+        kRuns,
+        [&](std::uint64_t run) {
+          chan::SortedPetChannelConfig sorted_config;
+          sorted_config.tree_height = config.tree_height;
+          sorted_config.manufacturing_seed = rng::derive_seed(seed, 2 * run);
+          const std::uint64_t estimate_seed =
+              rng::derive_seed(seed, 2 * run + 1);
+          chan::SortedPetChannel& production =
+              chan::arena_sorted_pet_channel(ids, sorted_config);
+          auto got = estimator.estimate_with_rounds(production, m,
+                                                    estimate_seed);
+          production.flush_obs();
+
+          chan::ExactChannelConfig exact_config;
+          exact_config.tree_height = config.tree_height;
+          exact_config.manufacturing_seed = sorted_config.manufacturing_seed;
+          chan::ExactChannel reference(ids, exact_config);
+          return std::pair{std::move(got),
+                           estimator.estimate_with_rounds(reference, m,
+                                                          estimate_seed)};
+        },
+        [&](std::uint64_t run,
+            std::pair<core::EstimateResult, core::EstimateResult>&& trial) {
+          SCOPED_TRACE(testing::Message() << "m=" << m << " run=" << run);
+          const int before = failures();
+          expect_result_identical(trial.first, trial.second);
+          if (failures() == before) ++identical;
+        });
+  }
+  std::printf("table3 --quick grid: %llu/%llu trials identical\n",
+              static_cast<unsigned long long>(identical),
+              static_cast<unsigned long long>(std::size(grid) * kRuns));
+  EXPECT_EQ(identical, std::size(grid) * kRuns);
 }
 
 }  // namespace

@@ -62,7 +62,6 @@ TEST(ObsLevel, ParsesAndRoundTrips) {
 
 TEST(MetricsRegistry, RegistrationIsIdempotentByName) {
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   auto& registry = obs::MetricsRegistry::instance();
   const std::size_t before = registry.metric_count();
   const obs::Counter a = registry.counter("test.idem.counter");
@@ -78,7 +77,6 @@ TEST(MetricsRegistry, RegistrationIsIdempotentByName) {
 
 TEST(MetricsRegistry, HistogramBucketsByUpperBound) {
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   auto& registry = obs::MetricsRegistry::instance();
   const obs::Histogram h =
       registry.histogram("test.hist", {1.0, 2.0, 4.0});
@@ -99,7 +97,6 @@ TEST(MetricsRegistry, HistogramBucketsByUpperBound) {
 
 TEST(MetricsRegistry, OffLevelRecordsNothing) {
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   auto& registry = obs::MetricsRegistry::instance();
   const obs::Counter c = registry.counter("test.off.counter");
   obs::set_level(obs::Level::kOff);
@@ -115,7 +112,6 @@ TEST(MetricsRegistry, ConcurrentShardWritesMergeExactly) {
   // the same counters through thread-local shards, snapshot folding
   // concurrently.  The final merged total must be exact.
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   auto& registry = obs::MetricsRegistry::instance();
   const obs::Counter counter = registry.counter("test.concurrent.counter");
   const obs::Histogram hist =
@@ -161,7 +157,6 @@ core::EstimateResult pet_trial(const std::vector<TagId>& ids,
 
 TEST(MetricsDeterminism, DeterministicJsonIsThreadCountInvariant) {
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   const auto pop = tags::TagPopulation::generate(300, 0xfeedULL);
   const std::vector<TagId> ids(pop.ids().begin(), pop.ids().end());
   const core::PetEstimator estimator(core::PetConfig{},
@@ -191,7 +186,6 @@ TEST(MetricsDeterminism, DeterministicJsonIsThreadCountInvariant) {
 
 TEST(MetricsConsistency, LedgerMirrorsMatchTheResultLedger) {
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   const auto pop = tags::TagPopulation::generate(500, 3);
   const core::PetEstimator estimator(core::PetConfig{},
                                      stats::AccuracyRequirement{0.1, 0.1});
@@ -221,7 +215,6 @@ TEST(MetricsConsistency, LedgerMirrorsMatchTheResultLedger) {
 
 TEST(MetricsConsistency, RobustCountersMatchTheResultFields) {
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   const auto pop = tags::TagPopulation::generate(400, 11);
   core::RobustPetConfig config;
   chan::DeviceChannelConfig device;
@@ -248,7 +241,6 @@ TEST(MetricsConsistency, RobustCountersMatchTheResultFields) {
 
 TEST(Tracing, SpansAndEventsEmitSchemaStableJsonl) {
   ObsGuard guard(obs::Level::kFull);
-  if (!obs::full_enabled()) GTEST_SKIP() << "obs compiled out";
   std::ostringstream out;
   obs::TraceWriter writer(out);
   obs::set_trace_writer(&writer);
@@ -293,7 +285,6 @@ TEST(Tracing, NothingIsWrittenBelowFullLevel) {
 
 TEST(MetricsExport, DocumentParsesAndSeparatesDomains) {
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   auto& registry = obs::MetricsRegistry::instance();
   registry.counter("test.export.det").add(5);
   registry.counter("test.export.prof", obs::Domain::kProfile).add(9);
@@ -340,7 +331,6 @@ TEST(MetricsExport, ExtraMembersLandAtTopLevel) {
   // The kMetrics wire command rides its "service" member in through this
   // hook; the fragment must append verbatim after "profile".
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   auto& registry = obs::MetricsRegistry::instance();
   registry.counter("test.extra.det").add(1);
 
@@ -362,7 +352,6 @@ TEST(MetricsExport, ExtraMembersLandAtTopLevel) {
 
 TEST(Prometheus, TextExpositionRendersCountersGaugesHistograms) {
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   auto& registry = obs::MetricsRegistry::instance();
   registry.counter("test.prom.det").add(4);
   registry.counter("pet.svc.pop.requests").add(7);
@@ -399,7 +388,6 @@ TEST(Prometheus, TextExpositionRendersCountersGaugesHistograms) {
 
 TEST(Prometheus, AtomicFileWriteLandsCompleteAndTmpIsGone) {
   ObsGuard guard(obs::Level::kCounters);
-  if (!obs::counters_enabled()) GTEST_SKIP() << "obs compiled out";
   obs::MetricsRegistry::instance().counter("test.prom.file").add(1);
   const std::string text =
       obs::prometheus_text(obs::MetricsRegistry::instance().snapshot());

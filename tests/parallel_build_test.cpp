@@ -291,91 +291,4 @@ TEST(ParallelBuild, PoolExecutorMatchesInlineExecutor) {
   EXPECT_EQ(stats.workers, 4u);
 }
 
-// --- u32-staged second engine ----------------------------------------------
-// radix_sort_u32_staged is the 10^7+/narrow-key engine radix_sort_u64
-// auto-routes to above kU32StagedMinKeys.  A sorted u64 array is unique, so
-// the two engines must agree byte-for-byte; calling the staged engine
-// directly lets the battery pin that at fuzz-friendly sizes without paying
-// for 10^7-element arrays.
-
-TEST(StagedEngine, ByteParityWithU64EngineAcrossShapesAndKeyBits) {
-  rng::SplitMix64 gen(0x57a6edULL);
-  const unsigned key_bit_choices[] = {8, 9, 16, 24, 32};
-  const std::size_t sizes[] = {2, 17, 1000, 16384, 70000};
-
-  for (int shape = 0; shape < 5; ++shape) {
-    for (const std::size_t n : sizes) {
-      for (const unsigned key_bits : key_bit_choices) {
-        const auto keys = adversarial_keys(shape, n, key_bits, gen);
-
-        std::vector<std::uint64_t> want = keys;
-        std::vector<std::uint64_t> want_scratch;
-        radix_sort_u64(want, want_scratch, key_bits);
-
-        std::vector<std::uint64_t> values = keys;
-        std::vector<std::uint64_t> scratch;
-        radix_sort_u32_staged(values, scratch, key_bits);
-        ASSERT_EQ(values, want) << "shape=" << shape << " n=" << n
-                                << " key_bits=" << key_bits;
-        // Same buffer contract as radix_sort_u64: scratch resized to n so
-        // arena callers can swap engines without re-provisioning.
-        EXPECT_EQ(scratch.size(), n);
-      }
-    }
-  }
-}
-
-TEST(StagedEngine, DuplicateHeavyAndDegenerateInputs) {
-  rng::SplitMix64 gen(0xd0bb1eULL);
-  // Heavy duplication: 20000 keys drawn from only 17 distinct values —
-  // every digit pass is dominated by a few buckets.
-  std::vector<std::uint64_t> distinct(17);
-  for (auto& v : distinct) v = gen() & 0xffffffffULL;
-  std::vector<std::uint64_t> keys(20000);
-  for (auto& k : keys) k = distinct[gen() % distinct.size()];
-
-  std::vector<std::uint64_t> want = keys;
-  std::vector<std::uint64_t> want_scratch;
-  radix_sort_u64(want, want_scratch, 32);
-  std::vector<std::uint64_t> values = keys;
-  std::vector<std::uint64_t> scratch;
-  radix_sort_u32_staged(values, scratch, 32);
-  EXPECT_EQ(values, want);
-
-  // n < 2 is a no-op for both engines.
-  std::vector<std::uint64_t> empty, one{42}, tiny_scratch;
-  radix_sort_u32_staged(empty, tiny_scratch, 32);
-  EXPECT_TRUE(empty.empty());
-  radix_sort_u32_staged(one, tiny_scratch, 32);
-  EXPECT_EQ(one, std::vector<std::uint64_t>{42});
-
-  // key_bits above 32 are clamped (the engine's contract is narrow keys).
-  std::vector<std::uint64_t> clamp(5000);
-  for (auto& v : clamp) v = gen() & 0xffffffffULL;
-  std::vector<std::uint64_t> clamp_want = clamp;
-  std::vector<std::uint64_t> s1, s2;
-  radix_sort_u64(clamp_want, s1, 32);
-  radix_sort_u32_staged(clamp, s2, 64);
-  EXPECT_EQ(clamp, clamp_want);
-}
-
-TEST(StagedEngine, SizeGateRoutesOnlyHugeNarrowBuilds) {
-  // The gate is a compile-time constant the ablation bench measured; pin
-  // the regime boundaries so a future edit can't silently re-route the
-  // table3-class sizes (which must stay on the u64 engine).
-  EXPECT_EQ(kU32StagedMinKeys, 10'000'000u);
-
-  // Below the gate with narrow keys, radix_sort_u64 must behave exactly as
-  // the classic engine — including its scratch contract.
-  rng::SplitMix64 gen(0x6a7eULL);
-  std::vector<std::uint64_t> values(100000);
-  for (auto& v : values) v = gen() & 0xffffffULL;
-  std::vector<std::uint64_t> want = values;
-  std::sort(want.begin(), want.end());
-  std::vector<std::uint64_t> scratch;
-  radix_sort_u64(values, scratch, 24);
-  EXPECT_EQ(values, want);
-  EXPECT_EQ(scratch.size(), values.size());
-}
-
 }  // namespace

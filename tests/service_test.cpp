@@ -1028,7 +1028,6 @@ TEST(Service, CacheHitReplaysFoldsAndReturnsIdenticalPayload) {
   EXPECT_EQ(entry->stats.rounds.load(), 2 * reply->rounds);
   EXPECT_EQ(entry->stats.query_slots.load(), 2 * reply->query_slots);
 
-#if PET_OBS_COMPILED
   // The newest flight record for this request id carries the hit bit.
   const std::vector<svc::RequestRecord> records =
       service.flight().dump(svc::derive_request_id(request));
@@ -1037,7 +1036,6 @@ TEST(Service, CacheHitReplaysFoldsAndReturnsIdenticalPayload) {
   EXPECT_EQ(records[1].cache_hit, 1u);
   EXPECT_EQ(records[1].rounds, records[0].rounds);
   EXPECT_EQ(records[1].latency_slots, records[0].latency_slots);
-#endif
 }
 
 TEST(Service, CacheInvalidatedByReRegisterViaEpochKeying) {
@@ -1139,8 +1137,6 @@ TEST(Service, ConcurrentRegisterUnregisterVsEstimatesUnderSharding) {
 }
 
 // --- service observability plane -------------------------------------------
-
-#if PET_OBS_COMPILED
 
 TEST(ServiceObs, MetricsDeterministicDomainByteIdenticalAcrossThreads) {
   // The ISSUE acceptance clause: the kDeterministic scope of a kMetrics
@@ -1597,25 +1593,6 @@ TEST(ServiceObs, MetricsExportConcurrentWithTraffic) {
   poller.join();
   EXPECT_GE(service.flight().recorded(), 49u);
 }
-
-#else  // !PET_OBS_COMPILED
-
-TEST(ServiceObs, ExportCommandsReturnTypedUnsupportedWhenCompiledOut) {
-  // PET_OBS=OFF builds still speak the full v1.1 command set; the export
-  // commands answer with the typed capability error instead of vanishing.
-  using namespace service_helpers;
-  svc::EstimationService service;
-  const svc::Frame metrics = service.handle(
-      svc::make_request(svc::CommandId::kMetrics));
-  EXPECT_EQ(status_of(metrics), svc::StatusCode::kUnsupported);
-  EXPECT_FALSE(svc::error_detail(metrics).empty());
-  const svc::Frame dump = service.handle(
-      svc::make_request(svc::CommandId::kFlightDump));
-  EXPECT_EQ(status_of(dump), svc::StatusCode::kUnsupported);
-  EXPECT_FALSE(svc::is_retryable(svc::StatusCode::kUnsupported));
-}
-
-#endif  // PET_OBS_COMPILED
 
 // --- chaos link ------------------------------------------------------------
 

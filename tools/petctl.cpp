@@ -330,20 +330,13 @@ std::string latency_quantile(const obs::JsonValue* hist, double q) {
   return "-";
 }
 
-/// One kMetrics round trip, parsed.  Returns nullopt on transport/parse
-/// failure; `unsupported` is set when the daemon is a PET_OBS=OFF build.
-std::optional<obs::JsonValue> fetch_metrics(Connection& conn,
-                                            bool& unsupported) {
-  unsupported = false;
+/// One kMetrics round trip, parsed.  Returns nullopt on transport, status
+/// or parse failure.
+std::optional<obs::JsonValue> fetch_metrics(Connection& conn) {
   const auto response =
       conn.call(svc::make_request(svc::CommandId::kMetrics), 10000);
   if (!response) {
     std::fprintf(stderr, "petctl: no response to metrics\n");
-    return std::nullopt;
-  }
-  if (static_cast<svc::StatusCode>(response->status) ==
-      svc::StatusCode::kUnsupported) {
-    unsupported = true;
     return std::nullopt;
   }
   if (response->status != 0) {
@@ -382,13 +375,7 @@ int cmd_top(Connection& conn, const Args& args) {
   auto prev_time = std::chrono::steady_clock::now();
   bool have_prev = false;
   for (;;) {
-    bool unsupported = false;
-    const auto root = fetch_metrics(conn, unsupported);
-    if (unsupported) {
-      std::fprintf(stderr,
-                   "petctl: metrics export unavailable (PET_OBS=OFF build)\n");
-      return 0;
-    }
+    const auto root = fetch_metrics(conn);
     if (!root) return 1;
     const auto now = std::chrono::steady_clock::now();
     const double dt =
@@ -517,12 +504,6 @@ int cmd_trace(Connection& conn, const Args& args) {
   if (!response) {
     std::fprintf(stderr, "petctl: no response to flight-dump\n");
     return 1;
-  }
-  if (static_cast<svc::StatusCode>(response->status) ==
-      svc::StatusCode::kUnsupported) {
-    std::fprintf(stderr,
-                 "petctl: flight recorder unavailable (PET_OBS=OFF build)\n");
-    return 0;
   }
   print_status(*response);
   if (response->status != 0) return 1;
@@ -701,10 +682,9 @@ int cmd_soak(const Args& args) {
               static_cast<unsigned long long>(stats->malformed_frames));
 
   // Surface the chaos run's retry/resync story from the kMetrics export.
-  // A PET_OBS=OFF daemon answers UNSUPPORTED; the soak verdict is about
-  // liveness, so that (and any metrics hiccup) never fails the run.
-  bool unsupported = false;
-  if (const auto metrics = fetch_metrics(clean_conn, unsupported)) {
+  // The soak verdict is about liveness, so a metrics hiccup never fails
+  // the run.
+  if (const auto metrics = fetch_metrics(clean_conn)) {
     const obs::JsonValue* counters = metrics->find("counters");
     const obs::JsonValue* service = metrics->find("service");
     const obs::JsonValue* connections =
@@ -715,8 +695,6 @@ int cmd_soak(const Args& args) {
                 num_or(counters, "svc.retry.attempts"),
                 num_or(counters, "svc.retry.backoff_slots"),
                 num_or(counters, "svc.retry.exhausted"));
-  } else if (unsupported) {
-    std::printf("link: metrics export unavailable (PET_OBS=OFF build)\n");
   }
   return 0;
 }

@@ -19,6 +19,7 @@
 // the level, --metrics-out=FILE writes the pet.obs.v1 metrics document,
 // --trace-jsonl=FILE streams span/event records.  Requesting an output
 // upgrades the level to the one that produces it.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -34,7 +35,6 @@
 
 #include "channel/arena.hpp"
 #include "channel/device_channel.hpp"
-#include "common/fastpath.hpp"
 #include "channel/sampled_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
 #include "core/confidence.hpp"
@@ -106,6 +106,36 @@ Args parse_args(int argc, char** argv, int first) {
   return args;
 }
 
+/// Rejects a key the command does not read, so a typo fails before any
+/// work instead of running with defaults (the bench harness does the same).
+/// Unknown commands pass here; main reports them through usage().
+bool keys_known(const std::string& command, const Args& args) {
+  static const std::map<std::string, std::vector<std::string>> kKeys = {
+      {"plan", {"eps", "delta", "n"}},
+      {"estimate",
+       {"protocol", "n", "eps", "delta", "seed", "runs", "threads", "quiet",
+        "mac", "capture", "search", "fusion", "robust", "loss", "readers",
+        "overlap", "trace", "trace-format"}},
+      {"identify", {"protocol", "n", "seed"}},
+      {"monitor", {"n", "steps", "seed"}},
+      {"sketch", {"n-a", "n-b", "shared", "rounds", "seed"}},
+  };
+  const auto known = kKeys.find(command);
+  if (known == kKeys.end()) return true;
+  for (const auto& entry : args.kv) {
+    const std::string& key = entry.first;
+    if (key == "obs" || key == "metrics-out" || key == "trace-jsonl" ||
+        std::find(known->second.begin(), known->second.end(), key) !=
+            known->second.end()) {
+      continue;
+    }
+    std::fprintf(stderr, "petsim: unknown argument --%s for %s\n",
+                 key.c_str(), command.c_str());
+    return false;
+  }
+  return true;
+}
+
 int usage() {
   std::fprintf(
       stderr,
@@ -124,9 +154,6 @@ int usage() {
       "  petsim monitor  --n=N --steps=T [--seed=S]\n"
       "  petsim sketch   --n-a=N --n-b=M --shared=K [--rounds=R]\n"
       "\n"
-      "performance (every command, docs/performance.md):\n"
-      "  --fast-path=on|off        fast-round pipeline (default on; results\n"
-      "                            are bit-identical either way)\n"
       "observability (every command):\n"
       "  --obs=off|counters|full   metrics level (default off)\n"
       "  --metrics-out=FILE        write pet.obs.v1 metrics JSON "
@@ -292,12 +319,9 @@ int cmd_estimate_many(const std::string& protocol, std::uint64_t n,
           channel_config.tree_height = pet_config.tree_height;
           channel_config.manufacturing_seed = rng::derive_seed(seed, 2 * run);
           // Per-thread arena: rebuild() re-keys the retained channel, bit-
-          // identical to the per-trial construction the slow path keeps.
-          std::optional<chan::SortedPetChannel> local;
+          // identical to a per-trial construction.
           chan::SortedPetChannel& channel =
-              fast_path_enabled()
-                  ? chan::arena_sorted_pet_channel(ids, channel_config)
-                  : local.emplace(ids, channel_config);
+              chan::arena_sorted_pet_channel(ids, channel_config);
           auto result = estimator.estimate_with_rounds(
               channel, m, rng::derive_seed(seed, 2 * run + 1));
           channel.flush_obs();
@@ -311,11 +335,8 @@ int cmd_estimate_many(const std::string& protocol, std::uint64_t n,
       folded = runner.run<core::EstimateResult>(
           runs,
           [&](std::uint64_t run) {
-            const std::uint64_t chan_seed = rng::derive_seed(seed, stride * run);
-            std::optional<chan::SampledChannel> local;
-            chan::SampledChannel& channel =
-                fast_path_enabled() ? chan::arena_sampled_channel(n, chan_seed)
-                                    : local.emplace(n, chan_seed);
+            chan::SampledChannel& channel = chan::arena_sampled_channel(
+                n, rng::derive_seed(seed, stride * run));
             return estimator.estimate(
                 channel, rng::derive_seed(seed, stride * run + 1));
           },
@@ -866,17 +887,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const Args args = parse_args(argc, argv, 2);
-
-  // Same semantics as the bench harness flag: bit-identical results either
-  // way, only wall time moves (docs/performance.md).
-  const std::string fast = args.get("fast-path", "");
-  if (!fast.empty()) {
-    if (fast != "on" && fast != "off") {
-      std::fprintf(stderr, "petsim: --fast-path must be on or off\n");
-      return 2;
-    }
-    set_fast_path(fast == "on");
-  }
+  if (!keys_known(command, args)) return 2;
 
   // Long sweeps drain gracefully: the first SIGINT/SIGTERM stops the trial
   // runner at a trial boundary and the aggregates rescale to the completed
