@@ -37,7 +37,7 @@ void BenchSession::finish() noexcept {
   // Per-phase wall breakdown (summed across worker threads; the build vs
   // estimate *ratio* is the signal).  Emitted in every artifact; benchdiff
   // ignores it like wall_seconds.
-  report_.set_profile_json(
+  report_.set_profile(
       "{\"build_seconds\": " +
       runtime::json_number(obs::sweep_phase_seconds(obs::SweepPhase::kBuild),
                            6) +

@@ -9,49 +9,6 @@
 
 namespace pet {
 
-void radix_sort_u64(std::vector<std::uint64_t>& values,
-                    std::vector<std::uint64_t>& scratch,
-                    unsigned key_bits) {
-  const std::size_t n = values.size();
-  if (n < 2) return;
-  scratch.resize(n);
-  const unsigned digits = (std::min(key_bits, 64u) + 7) / 8;
-
-  // One read pass builds all live digit histograms at once; scatter passes
-  // then run only for digits that actually discriminate.
-  std::array<std::array<std::uint32_t, 256>, 8> counts{};
-  for (const std::uint64_t v : values) {
-    for (unsigned d = 0; d < digits; ++d) {
-      ++counts[d][(v >> (8 * d)) & 0xff];
-    }
-  }
-
-  std::uint64_t* src = values.data();
-  std::uint64_t* dst = scratch.data();
-  for (unsigned d = 0; d < digits; ++d) {
-    std::array<std::uint32_t, 256>& count = counts[d];
-    const std::uint32_t first_bucket = count[(src[0] >> (8 * d)) & 0xff];
-    if (first_bucket == n) continue;  // digit constant: pass is a no-op
-
-    std::uint32_t offset = 0;
-    for (std::uint32_t& c : count) {
-      const std::uint32_t bucket = c;
-      c = offset;
-      offset += bucket;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t v = src[i];
-      dst[count[(v >> (8 * d)) & 0xff]++] = v;
-    }
-    std::swap(src, dst);
-  }
-
-  if (src != values.data()) {
-    // Odd number of scatter passes: the sorted run lives in scratch.
-    values.swap(scratch);
-  }
-}
-
 namespace {
 
 // Below this the pool dispatch overhead exceeds the sort itself; the serial
@@ -59,30 +16,25 @@ namespace {
 // at --threads=1.
 constexpr std::size_t kParallelSortMinKeys = std::size_t{1} << 14;
 
-// LSD-sort `n` keys of `low_bits` significant bits from `src`, leaving the
-// result in `out`.  `src` and `out` are distinct equal-sized ranges; both
-// are clobbered (they ping-pong).  Same digit-skip rule as the serial sort,
-// so a bucket whose low bits are constant costs only the final copy.
-void lsd_sort_into(std::uint64_t* src, std::uint64_t* out, std::size_t n,
-                   unsigned low_bits) {
-  if (n == 0) return;
-  if (n == 1) {
-    out[0] = src[0];
-    return;
-  }
-  const unsigned digits = (low_bits + 7) / 8;
+// LSD-sort `n >= 1` keys of `key_bits` significant bits, ping-ponging
+// between the distinct equal-sized ranges `a` (the input) and `b`; returns
+// whichever of the two holds the sorted run.  One read pass builds all live
+// digit histograms at once; scatter passes then run only for digits that
+// actually discriminate.
+std::uint64_t* lsd_passes(std::uint64_t* a, std::uint64_t* b, std::size_t n,
+                          unsigned key_bits) {
+  const unsigned digits = (std::min(key_bits, 64u) + 7) / 8;
   std::array<std::array<std::uint32_t, 256>, 8> counts{};
   for (std::size_t i = 0; i < n; ++i) {
     for (unsigned d = 0; d < digits; ++d) {
-      ++counts[d][(src[i] >> (8 * d)) & 0xff];
+      ++counts[d][(a[i] >> (8 * d)) & 0xff];
     }
   }
-  std::uint64_t* a = src;
-  std::uint64_t* b = out;
   for (unsigned d = 0; d < digits; ++d) {
     std::array<std::uint32_t, 256>& count = counts[d];
     const std::uint32_t first_bucket = count[(a[0] >> (8 * d)) & 0xff];
-    if (first_bucket == n) continue;
+    if (first_bucket == n) continue;  // digit constant: pass is a no-op
+
     std::uint32_t offset = 0;
     for (std::uint32_t& c : count) {
       const std::uint32_t bucket = c;
@@ -95,10 +47,23 @@ void lsd_sort_into(std::uint64_t* src, std::uint64_t* out, std::size_t n,
     }
     std::swap(a, b);
   }
-  if (a != out) std::copy(a, a + n, out);
+  return a;
 }
 
 }  // namespace
+
+void radix_sort_u64(std::vector<std::uint64_t>& values,
+                    std::vector<std::uint64_t>& scratch,
+                    unsigned key_bits) {
+  const std::size_t n = values.size();
+  if (n < 2) return;
+  scratch.resize(n);
+  if (lsd_passes(values.data(), scratch.data(), n, key_bits) !=
+      values.data()) {
+    // Odd number of scatter passes: the sorted run lives in scratch.
+    values.swap(scratch);
+  }
+}
 
 // One build's key space split across the executor: (1) per-chunk histograms
 // of the MSB digit (bits [key_bits-8, key_bits)), (2) offsets laid out
@@ -172,7 +137,11 @@ void radix_sort_u64_parallel(std::vector<std::uint64_t>& values,
   executor->run(256, [&](unsigned, std::size_t first, std::size_t last) {
     for (std::size_t b = first; b < last; ++b) {
       const std::uint64_t lo = bucket_start[b];
-      lsd_sort_into(dst + lo, src + lo, bucket_start[b + 1] - lo, shift);
+      const std::size_t size = bucket_start[b + 1] - lo;
+      if (size == 0) continue;
+      const std::uint64_t* sorted =
+          lsd_passes(dst + lo, src + lo, size, shift);
+      if (sorted != src + lo) std::copy(sorted, sorted + size, src + lo);
     }
   });
 }

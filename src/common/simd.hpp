@@ -1,17 +1,12 @@
-// Process-wide SIMD dispatch tier for the batch hashing kernels
+// SIMD dispatch tier for the batch hashing kernel
 // (src/rng/hash_simd.cpp, docs/performance.md).
 //
-// Every vectorized site is bit-identical to the scalar code it replaces —
-// the mix64 finalizer is pure 64-bit integer arithmetic, so lane width
-// cannot change a single output bit.  The switch exists so the tiers can be
-// A/B-compared on one build (tests/simd_parity_test.cpp, repro claim 9).
+// The vectorized kernel is bit-identical to the scalar expression it
+// replaces — the mix64 finalizer is pure 64-bit integer arithmetic, so lane
+// width cannot change a single output bit (tests/simd_parity_test.cpp).
 //
-// The active tier is min(detected, cap): detection probes the CPU once at
-// startup (AVX-512DQ > AVX2 on x86-64, NEON on AArch64, scalar otherwise);
-// the cap defaults to the PET_SIMD environment variable and can be moved at
-// run time with set_simd.  PET_SIMD accepts off|scalar|0, neon, avx2,
-// avx512, and auto (the default).  Requesting a tier the CPU lacks clamps
-// to what is actually supported.
+// The tier is a pure function of the CPU, probed once at startup:
+// AVX-512F+DQ on x86-64 when present, scalar everywhere else.
 #pragma once
 
 #include <cstdint>
@@ -21,26 +16,18 @@ namespace pet {
 
 enum class SimdTier : std::uint8_t {
   kScalar = 0,  ///< portable scalar loop (always available)
-  kNeon = 1,    ///< AArch64 NEON, 2 x 64-bit lanes
-  kAvx2 = 2,    ///< x86-64 AVX2, 4 x 64-bit lanes (emulated 64-bit multiply)
-  kAvx512 = 3,  ///< x86-64 AVX-512F+DQ, 8 x 64-bit lanes (native multiply)
+  kAvx512 = 1,  ///< x86-64 AVX-512F+DQ, 8 x 64-bit lanes (native multiply)
 };
 
 [[nodiscard]] std::string_view to_string(SimdTier tier) noexcept;
 
-/// Number of 64-bit lanes a tier processes per vector: 1, 2, 4, or 8.
+/// Number of 64-bit lanes a tier processes per vector: 1 or 8.
 [[nodiscard]] unsigned simd_lanes(SimdTier tier) noexcept;
 
 /// Highest tier this CPU supports (probed once, constant thereafter).
 [[nodiscard]] SimdTier detected_simd_tier() noexcept;
 
-/// Tier the kernels actually dispatch on: min(detected, cap).
+/// Tier the kernels dispatch on; always detected_simd_tier().
 [[nodiscard]] SimdTier simd_tier() noexcept;
-
-/// Cap the dispatch tier process-wide (clamped to the detected tier).
-void set_simd(SimdTier cap) noexcept;
-
-/// Convenience switch: false pins kScalar, true restores full detection.
-void set_simd(bool enabled) noexcept;
 
 }  // namespace pet

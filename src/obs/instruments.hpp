@@ -142,12 +142,12 @@ inline void record_ledger_slot(std::size_t responders, unsigned downlink_bits,
 /// SortedPetChannel construction — the per-trial re-keying hot path
 /// (docs/performance.md).  builds/codes fold deterministically; everything
 /// else describes *how* the most recent build ran (SIMD tier, partition
-/// shape, phase timing), which depends on the host CPU, PET_SIMD, and the
-/// configured build parallelism — Domain::kProfile by the usual rule.
+/// shape, phase timing), which depends on the host CPU and the configured
+/// build parallelism — Domain::kProfile by the usual rule.
 struct BuildInstruments {
   Counter builds;            ///< pet.build.builds (channel (re)builds)
   Counter codes;             ///< pet.build.codes (codes hashed + sorted)
-  Gauge simd_lanes;          ///< pet.build.simd_lanes (profile: 1/2/4/8)
+  Gauge simd_lanes;          ///< pet.build.simd_lanes (profile: 1 or 8)
   Gauge partition_workers;   ///< pet.build.partition_workers (profile)
   Gauge partition_buckets;   ///< pet.build.partition_buckets (profile)
   Gauge bucket_skew_milli;   ///< pet.build.bucket_skew_milli (profile:

@@ -178,9 +178,10 @@ class Parser {
             }
           }
           // The emitters only escape control characters, so a one-byte
-          // decode covers everything this repo writes; other code points
-          // pass through as UTF-8 of the low byte.
-          out += static_cast<char>(code & 0xFF);
+          // decode covers everything this repo writes; a wider code point
+          // is rejected rather than silently truncated.
+          if (code > 0x7f) fail("non-ASCII \\u escape unsupported");
+          out += static_cast<char>(code);
           break;
         }
         default:

@@ -1,7 +1,8 @@
-// A tiny generic JSON reader used by tools/obscheck and the obs tests to
-// validate emitted documents structurally.  (verify/benchjson stays the
-// schema-aware parser for BENCH artifacts; this one is shape-agnostic.)
-// Accepts strict JSON; throws std::runtime_error with an offset on error.
+// The repo's one JSON reader: tools/obscheck and the obs tests validate
+// emitted documents with it, and verify/benchjson maps BENCH artifacts onto
+// its shape-agnostic tree.  Accepts strict JSON, except that a \u escape
+// must stay in ASCII (no emitter writes a wider one); throws
+// std::runtime_error with an offset on error.
 #pragma once
 
 #include <string>

@@ -81,21 +81,14 @@ void uniform_code_batch(HashKind kind, std::uint64_t seed,
           "uniform_code_batch width must be in [1, 64]");
   if (kind == HashKind::kMix64) {
     // Same two-round mix as uniform64, with the seed round hoisted.  The
-    // SIMD tiers (hash_simd.cpp) evaluate the identical integer expression
-    // on wider lanes, so the bytes written are the same at every tier.
+    // kernel (hash_simd.cpp) evaluates the identical integer expression on
+    // whatever lanes the CPU has, so the bytes written never depend on it.
     const std::uint64_t seed_mix = mix64(seed ^ 0x9e3779b97f4a7c15ULL);
     out.resize(ids.size());
     static_assert(sizeof(TagId) == sizeof(std::uint64_t));
-    if (detail::mix64_code_batch_simd(
-            seed_mix, reinterpret_cast<const std::uint64_t*>(ids.data()),
-            ids.size(), width, out.data())) {
-      return;
-    }
-    std::size_t i = 0;
-    for (const TagId id : ids) {
-      const std::uint64_t h = mix64(seed_mix ^ mix64(to_underlying(id)));
-      out[i++] = (width == 64) ? h : (h >> (64 - width));
-    }
+    detail::mix64_code_batch(
+        seed_mix, reinterpret_cast<const std::uint64_t*>(ids.data()),
+        ids.size(), width, out.data());
     return;
   }
   out.clear();

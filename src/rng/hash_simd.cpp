@@ -1,32 +1,25 @@
-// SIMD tiers for the kMix64 batch hash (see hash_simd.hpp).
+// The kMix64 batch kernel (see hash_simd.hpp).
 //
 // The SplitMix64 finalizer is three multiply/xor-shift rounds of pure
-// 64-bit modular arithmetic, so a w-lane vector evaluation is the same
-// function as w scalar evaluations — there is no rounding or reassociation
-// to diverge on.  AVX-512DQ has a native 64-bit low multiply
-// (vpmullq, 8 lanes); AVX2 and NEON emulate it from 32x32 partial products
-// (lo*lo + ((hi*lo + lo*hi) << 32), the carry-free schoolbook form).
+// 64-bit modular arithmetic, so an 8-lane evaluation is the same function
+// as 8 scalar evaluations — there is no rounding or reassociation to
+// diverge on.  AVX-512DQ supplies the native 64-bit low multiply
+// (vpmullq).
 //
-// Per-function target attributes keep the AVX encodings out of every other
-// translation unit, so the dispatcher can run on any x86-64.
+// A per-function target attribute keeps the AVX-512 encodings out of every
+// other translation unit, so the dispatcher can run on any x86-64.
 #include "rng/hash_simd.hpp"
 
 #include "common/simd.hpp"
 #include "rng/prng.hpp"
 
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#elif defined(__x86_64__) || defined(_M_X64)
+#if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
 #endif
 
 namespace pet::rng::detail {
 
 namespace {
-
-constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
-constexpr std::uint64_t kMixA = 0xbf58476d1ce4e5b9ULL;
-constexpr std::uint64_t kMixB = 0x94d049bb133111ebULL;
 
 inline void scalar_tail(std::uint64_t seed_mix, const std::uint64_t* ids,
                         std::size_t begin, std::size_t n, unsigned shift,
@@ -38,56 +31,14 @@ inline void scalar_tail(std::uint64_t seed_mix, const std::uint64_t* ids,
 
 #if defined(__x86_64__) || defined(_M_X64)
 
-// The vector-typed helpers below are only called between functions carrying
+constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kMixA = 0xbf58476d1ce4e5b9ULL;
+constexpr std::uint64_t kMixB = 0x94d049bb133111ebULL;
+
+// The vector-typed helper below is only called between functions carrying
 // the same target attribute, so the ABI caveat GCC raises for the TU's
 // non-AVX baseline never applies.
 #pragma GCC diagnostic ignored "-Wpsabi"
-
-__attribute__((target("avx2"))) inline __m256i mul64_avx2(
-    __m256i a, __m256i b, __m256i b_hi) noexcept {
-  // a*b mod 2^64 from 32-bit partial products; the hi*hi term shifts out.
-  const __m256i lo = _mm256_mul_epu32(a, b);
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a_hi, b),
-                                         _mm256_mul_epu32(a, b_hi));
-  return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-__attribute__((target("avx2"))) inline __m256i mix64_avx2(
-    __m256i z, __m256i gamma, __m256i mul_a, __m256i mul_a_hi, __m256i mul_b,
-    __m256i mul_b_hi) noexcept {
-  z = _mm256_add_epi64(z, gamma);
-  z = mul64_avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 30)), mul_a,
-                 mul_a_hi);
-  z = mul64_avx2(_mm256_xor_si256(z, _mm256_srli_epi64(z, 27)), mul_b,
-                 mul_b_hi);
-  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
-}
-
-__attribute__((target("avx2"))) void hash_avx2(std::uint64_t seed_mix,
-                                               const std::uint64_t* ids,
-                                               std::size_t n, unsigned shift,
-                                               std::uint64_t* out) noexcept {
-  const __m256i gamma = _mm256_set1_epi64x(static_cast<long long>(kGamma));
-  const __m256i mul_a = _mm256_set1_epi64x(static_cast<long long>(kMixA));
-  const __m256i mul_a_hi = _mm256_srli_epi64(mul_a, 32);
-  const __m256i mul_b = _mm256_set1_epi64x(static_cast<long long>(kMixB));
-  const __m256i mul_b_hi = _mm256_srli_epi64(mul_b, 32);
-  const __m256i seed = _mm256_set1_epi64x(static_cast<long long>(seed_mix));
-  const __m128i count = _mm_cvtsi32_si128(static_cast<int>(shift));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i id =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    const __m256i inner =
-        mix64_avx2(id, gamma, mul_a, mul_a_hi, mul_b, mul_b_hi);
-    const __m256i h = mix64_avx2(_mm256_xor_si256(seed, inner), gamma, mul_a,
-                                 mul_a_hi, mul_b, mul_b_hi);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_srl_epi64(h, count));
-  }
-  scalar_tail(seed_mix, ids, i, n, shift, out);
-}
 
 __attribute__((target("avx512f,avx512dq"))) inline __m512i mix64_avx512(
     __m512i z, __m512i gamma, __m512i mul_a, __m512i mul_b) noexcept {
@@ -118,65 +69,20 @@ __attribute__((target("avx512f,avx512dq"))) void hash_avx512(
   scalar_tail(seed_mix, ids, i, n, shift, out);
 }
 
-#elif defined(__aarch64__)
-
-inline uint64x2_t mul64_neon(uint64x2_t a, uint32x2_t b_lo,
-                             uint32x2_t b_hi) noexcept {
-  // Same carry-free schoolbook form as the AVX2 tier, from 32-bit halves.
-  const uint32x2_t a_lo = vmovn_u64(a);
-  const uint32x2_t a_hi = vshrn_n_u64(a, 32);
-  const uint64x2_t lo = vmull_u32(a_lo, b_lo);
-  const uint32x2_t cross = vmla_u32(vmul_u32(a_hi, b_lo), a_lo, b_hi);
-  return vaddq_u64(lo, vshll_n_u32(cross, 32));
-}
-
-void hash_neon(std::uint64_t seed_mix, const std::uint64_t* ids,
-               std::size_t n, unsigned shift, std::uint64_t* out) noexcept {
-  const uint64x2_t gamma = vdupq_n_u64(kGamma);
-  const uint32x2_t a_lo = vdup_n_u32(static_cast<std::uint32_t>(kMixA));
-  const uint32x2_t a_hi = vdup_n_u32(static_cast<std::uint32_t>(kMixA >> 32));
-  const uint32x2_t b_lo = vdup_n_u32(static_cast<std::uint32_t>(kMixB));
-  const uint32x2_t b_hi = vdup_n_u32(static_cast<std::uint32_t>(kMixB >> 32));
-  const uint64x2_t seed = vdupq_n_u64(seed_mix);
-  const int64x2_t count = vdupq_n_s64(-static_cast<std::int64_t>(shift));
-  const auto mix = [&](uint64x2_t z) noexcept {
-    z = vaddq_u64(z, gamma);
-    z = mul64_neon(veorq_u64(z, vshrq_n_u64(z, 30)), a_lo, a_hi);
-    z = mul64_neon(veorq_u64(z, vshrq_n_u64(z, 27)), b_lo, b_hi);
-    return veorq_u64(z, vshrq_n_u64(z, 31));
-  };
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t id = vld1q_u64(ids + i);
-    const uint64x2_t h = mix(veorq_u64(seed, mix(id)));
-    vst1q_u64(out + i, vshlq_u64(h, count));
-  }
-  scalar_tail(seed_mix, ids, i, n, shift, out);
-}
-
 #endif
 
 }  // namespace
 
-bool mix64_code_batch_simd(std::uint64_t seed_mix, const std::uint64_t* ids,
-                           std::size_t n, unsigned width, std::uint64_t* out) {
-  const unsigned shift = 64 - width;  // width 64 -> shift 0, a lane no-op
-  switch (simd_tier()) {
+void mix64_code_batch(std::uint64_t seed_mix, const std::uint64_t* ids,
+                      std::size_t n, unsigned width, std::uint64_t* out) {
+  const unsigned shift = 64 - width;  // width 64 -> shift 0, a no-op
 #if defined(__x86_64__) || defined(_M_X64)
-    case SimdTier::kAvx512:
-      hash_avx512(seed_mix, ids, n, shift, out);
-      return true;
-    case SimdTier::kAvx2:
-      hash_avx2(seed_mix, ids, n, shift, out);
-      return true;
-#elif defined(__aarch64__)
-    case SimdTier::kNeon:
-      hash_neon(seed_mix, ids, n, shift, out);
-      return true;
-#endif
-    default:
-      return false;  // scalar tier, or a tier this arch cannot run
+  if (simd_tier() == SimdTier::kAvx512) {
+    hash_avx512(seed_mix, ids, n, shift, out);
+    return;
   }
+#endif
+  scalar_tail(seed_mix, ids, 0, n, shift, out);
 }
 
 }  // namespace pet::rng::detail

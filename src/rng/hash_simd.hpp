@@ -1,9 +1,9 @@
-// Internal: vectorized kMix64 batch kernels behind rng::uniform_code_batch.
+// Internal: the kMix64 batch kernel behind rng::uniform_code_batch.
 //
-// Each tier computes out[i] = mix64(seed_mix ^ mix64(ids[i])) >> (64-width)
-// with the SplitMix64 finalizer lifted onto 64-bit SIMD lanes; the tail
-// (n mod lanes) runs the same scalar expression, so every output word is
-// bit-identical to the scalar loop regardless of tier or n
+// Computes out[i] = mix64(seed_mix ^ mix64(ids[i])) >> (64-width) with the
+// SplitMix64 finalizer lifted onto 8 AVX-512 lanes when the CPU has them.
+// The tail (n mod 8), and the whole batch on any other CPU, runs one scalar
+// expression, so every output word is bit-identical regardless of tier or n
 // (tests/simd_parity_test.cpp).  Dispatch follows pet::simd_tier().
 #pragma once
 
@@ -12,11 +12,9 @@
 
 namespace pet::rng::detail {
 
-/// Vectorized batch hash at the active SIMD tier.  Returns false when the
-/// active tier is scalar (or unavailable on this architecture); the caller
-/// then runs the portable loop.  `out` must hold `n` words; `width` in
-/// [1, 64].  No alignment requirement on `ids` or `out`.
-bool mix64_code_batch_simd(std::uint64_t seed_mix, const std::uint64_t* ids,
-                           std::size_t n, unsigned width, std::uint64_t* out);
+/// Batch hash at the CPU's SIMD tier.  `out` must hold `n` words; `width`
+/// in [1, 64].  No alignment requirement on `ids` or `out`.
+void mix64_code_batch(std::uint64_t seed_mix, const std::uint64_t* ids,
+                      std::size_t n, unsigned width, std::uint64_t* out);
 
 }  // namespace pet::rng::detail

@@ -62,8 +62,8 @@ class BenchReport {
   /// estimate_seconds); emitted as a top-level "profile" member.  Like
   /// wall_seconds it describes the run, not the simulation — benchdiff
   /// ignores it.  Empty string omits the member.
-  void set_profile_json(std::string profile) {
-    profile_json_ = std::move(profile);
+  void set_profile(std::string profile) {
+    profile_ = std::move(profile);
   }
 
   [[nodiscard]] const std::string& target() const noexcept { return target_; }
@@ -88,7 +88,7 @@ class BenchReport {
   double wall_seconds_ = 0.0;
   bool truncated_ = false;
   std::string metrics_json_;
-  std::string profile_json_;
+  std::string profile_;
   std::vector<Row> rows_;
 };
 

@@ -1,14 +1,18 @@
-// Parser + tolerance-aware comparator for BENCH_<target>.json artifacts
-// (the schema BenchReport::to_json emits, documented in docs/runtime.md).
+// Schema mapping + tolerance-aware comparator for BENCH_<target>.json
+// artifacts (the schema BenchReport::to_json emits, documented in
+// docs/runtime.md).
 //
-// The parser is a deliberately small recursive-descent JSON reader: it
-// accepts exactly the value forms the artifacts use (objects, arrays,
-// escaped strings, numbers, null, booleans) and rejects everything else
-// loudly.  It exists so the repro gate can diff artifacts without adding a
-// JSON dependency the container does not have.
+// parse_bench_json reads the text with obs::parse_json and maps the tree
+// onto BenchArtifact, rejecting anything outside the schema loudly:
+// `target` (string) and `rows` (array of objects whose cells are all
+// strings) are required; `threads` is a number, `wall_seconds` a number or
+// null, `truncated` a boolean; `metrics` and `profile` may hold any value;
+// every other top-level key is an error.
 //
 // diff_bench compares a candidate artifact against a golden one:
 //   * `target` and row count must match exactly;
+//   * a truncated side (a sweep cut short by SIGINT/SIGTERM) never
+//     matches, since its rows are a partial sweep;
 //   * `threads` and `wall_seconds` are ignored — the determinism contract
 //     makes rows thread-invariant but wall time is machine noise;
 //   * rows are matched by index; cells by key.  Cells that parse as
@@ -21,6 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/jsonlite.hpp"
+
 namespace pet::verify {
 
 /// One BENCH row: ordered (key, value) cells, all values as strings
@@ -31,19 +37,18 @@ struct BenchArtifact {
   std::string target;
   std::uint64_t threads = 0;
   double wall_seconds = 0.0;  ///< NaN when serialised as null
-  /// Raw text of the optional "metrics" member (pet.obs.v1 document),
-  /// empty when absent.  Kept verbatim — diff_bench never compares it,
-  /// because profile metrics are machine noise by design.
-  std::string metrics_json;
-  /// Raw text of the optional "profile" member (per-phase wall breakdown),
-  /// empty when absent.  Ignored by diff_bench for the same reason as
-  /// wall_seconds: it measures the machine, not the simulation.
-  std::string profile_json;
+  /// Set by a "truncated": true member: the sweep was drained early and
+  /// the rows are partial.
+  bool truncated = false;
+  /// The optional "metrics" member (pet.obs.v1 document), null when
+  /// absent.  diff_bench never compares it, because profile metrics are
+  /// machine noise by design.
+  obs::JsonValue metrics;
   std::vector<BenchRow> rows;
 };
 
-/// Parse a BENCH artifact from JSON text.  Throws std::runtime_error with a
-/// byte-offset diagnostic on malformed input or schema violations.
+/// Parse a BENCH artifact from JSON text.  Throws std::runtime_error on
+/// malformed input (with a byte offset) or schema violations.
 [[nodiscard]] BenchArtifact parse_bench_json(const std::string& text);
 
 /// Read and parse a BENCH artifact file.  Throws std::runtime_error.

@@ -158,7 +158,6 @@ CheckResult check_build_identity(const Context& ctx) {
     }
   } executor;
 
-  const SimdTier restore = simd_tier();
   const std::uint64_t n = ctx.scaled(200000, 30000);
   const auto population =
       tags::TagPopulation::generate(n, ctx.check_seed(40));
@@ -174,36 +173,33 @@ CheckResult check_build_identity(const Context& ctx) {
     }
     std::sort(oracle.begin(), oracle.end());
 
-    set_simd(false);
-    std::vector<std::uint64_t> scalar_codes;
+    std::vector<std::uint64_t> serial_codes;
     rng::uniform_code_batch(rng::HashKind::kMix64, seed, population.ids(),
-                            height, scalar_codes);
+                            height, serial_codes);
+    std::vector<std::uint64_t> parallel_codes = serial_codes;
     std::vector<std::uint64_t> scratch;
-    radix_sort_u64(scalar_codes, scratch, height);
-
-    set_simd(true);
-    std::vector<std::uint64_t> simd_codes;
-    rng::uniform_code_batch(rng::HashKind::kMix64, seed, population.ids(),
-                            height, simd_codes);
+    radix_sort_u64(serial_codes, scratch, height);
     RadixPartitionStats stats;
-    radix_sort_u64_parallel(simd_codes, scratch, height, &executor, &stats);
+    radix_sort_u64_parallel(parallel_codes, scratch, height, &executor,
+                            &stats);
 
-    if (scalar_codes != oracle) {
-      errors += fmt(" scalar batch diverges from oracle at H=%u;", height);
+    if (serial_codes != oracle) {
+      errors += fmt(" batch hash + serial sort diverges from oracle at H=%u "
+                    "(tier %s);",
+                    height, to_string(simd_tier()).data());
     }
-    if (simd_codes != oracle) {
-      errors += fmt(" simd/parallel build diverges from oracle at H=%u "
+    if (parallel_codes != oracle) {
+      errors += fmt(" parallel build diverges from oracle at H=%u "
                     "(tier %s, %u partition workers);",
                     height, to_string(simd_tier()).data(), stats.workers);
     }
   }
-  set_simd(restore);
 
   result.passed = errors.empty();
   result.detail =
       errors.empty()
-          ? fmt("sorted codes byte-identical (oracle/scalar/%s+parallel) "
-                "at n=%llu, H in {13,32,64}",
+          ? fmt("sorted codes byte-identical (oracle vs %s batch hash + "
+                "serial/parallel sort) at n=%llu, H in {13,32,64}",
                 to_string(simd_tier()).data(),
                 static_cast<unsigned long long>(n))
           : errors;

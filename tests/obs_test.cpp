@@ -416,7 +416,8 @@ TEST(BenchMetrics, ArtifactRoundTripsAndDiffIgnoresMetrics) {
   const verify::BenchArtifact parsed =
       verify::parse_bench_json(with_metrics.to_json());
   EXPECT_EQ(parsed.target, "unit_bench");
-  EXPECT_NE(parsed.metrics_json.find("pet.obs.v1"), std::string::npos);
+  ASSERT_NE(parsed.metrics.find("schema"), nullptr);
+  EXPECT_EQ(parsed.metrics.find("schema")->string, "pet.obs.v1");
   ASSERT_EQ(parsed.rows.size(), 1u);
 
   // A golden written before observability existed must still gate a

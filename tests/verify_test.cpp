@@ -132,6 +132,54 @@ TEST(BenchJson, ParserRejectsMalformedInput) {
                std::runtime_error);
 }
 
+TEST(BenchJson, ParserEnforcesTheSchemaOnEveryMember) {
+  const auto parses = [](const std::string& members) {
+    return verify::parse_bench_json("{\"target\": \"x\", " + members + "}");
+  };
+  EXPECT_NO_THROW((void)parses("\"rows\": [{\"a\": \"\\u001f\"}]"));
+  const char* const bad[] = {
+      "\"rows\": [{\"a\": 1}]",                 // non-string cell
+      "\"rows\": [[\"a\"]]",                    // row not an object
+      "\"rows\": {}",                           // rows not an array
+      "\"threads\": \"2\", \"rows\": []",       // threads not a number
+      "\"wall_seconds\": \"1\", \"rows\": []",  // neither number nor null
+      "\"truncated\": 1, \"rows\": []",         // truncated not a boolean
+      "\"rows\": [{\"a\": \"\\u00e9\"}]",       // \u escape past ASCII
+  };
+  for (const char* members : bad) {
+    EXPECT_THROW((void)parses(members), std::runtime_error) << members;
+  }
+  EXPECT_THROW((void)verify::parse_bench_json(
+                   "{\"target\": 1, \"rows\": []}"),
+               std::runtime_error);
+  EXPECT_THROW((void)verify::parse_bench_json("[]"), std::runtime_error);
+}
+
+// A SIGINT/SIGTERM-drained sweep marks its artifact "truncated": true.  It
+// must parse, and the diff must refuse it by name rather than report a
+// row-count regression or a parse error.
+TEST(BenchJson, TruncatedArtifactParsesAndNeverMatches) {
+  runtime::BenchReport report("t", 1);
+  report.add_row("T", {"m"}, {"1"});
+  const auto whole = verify::parse_bench_json(report.to_json());
+  EXPECT_FALSE(whole.truncated);
+  report.set_truncated(true);
+  const auto drained = verify::parse_bench_json(report.to_json());
+  EXPECT_TRUE(drained.truncated);
+  ASSERT_EQ(drained.rows, whole.rows);
+
+  const auto diff = verify::diff_bench(whole, drained);
+  ASSERT_EQ(diff.mismatches.size(), 1u);
+  EXPECT_NE(diff.mismatches[0].find("candidate is truncated"),
+            std::string::npos)
+      << diff.mismatches[0];
+  const auto reversed = verify::diff_bench(drained, whole);
+  ASSERT_EQ(reversed.mismatches.size(), 1u);
+  EXPECT_NE(reversed.mismatches[0].find("golden is truncated"),
+            std::string::npos)
+      << reversed.mismatches[0];
+}
+
 verify::BenchArtifact tiny_artifact(const std::string& cell) {
   runtime::BenchReport report("t", 1);
   report.add_row("T", {"m", "value"}, {"64", cell});

@@ -6,11 +6,15 @@
 // thread-invariant under the determinism contract while wall time is
 // machine noise.
 //
-// Exit status: 0 artifacts agree, 1 they differ, 2 usage/IO/parse error.
+// A truncated artifact (a sweep drained by SIGINT/SIGTERM) never agrees.
+//
+// Exit status: 0 artifacts agree, 1 they differ, 2 usage/IO/parse error
+// (including a tolerance that is not a finite number >= 0).
 //
 // Usage:
 //   benchdiff GOLDEN.json CANDIDATE.json [--rtol=F] [--atol=F] [--quiet]
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -36,6 +40,22 @@ bool take_value(const std::string& arg, const char* flag, std::string& out) {
   return true;
 }
 
+/// A tolerance is the whole flag value as one finite number >= 0; anything
+/// else (empty, "abc", "nan", "inf", "-1", "0.1x") is a usage error, since
+/// a NaN bound would silently pass every numeric cell.
+double parse_tolerance(const char* flag, const std::string& value) {
+  char* end = nullptr;
+  const double tolerance = std::strtod(value.c_str(), &end);
+  if (value.empty() || end != value.c_str() + value.size() ||
+      !std::isfinite(tolerance) || tolerance < 0.0) {
+    std::fprintf(stderr,
+                 "benchdiff: %s needs a finite number >= 0, got '%s'\n",
+                 flag, value.c_str());
+    std::exit(2);
+  }
+  return tolerance;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -51,9 +71,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (take_value(arg, "--rtol", value)) {
-      options.rtol = std::strtod(value.c_str(), nullptr);
+      options.rtol = parse_tolerance("--rtol", value);
     } else if (take_value(arg, "--atol", value)) {
-      options.atol = std::strtod(value.c_str(), nullptr);
+      options.atol = parse_tolerance("--atol", value);
     } else if (!arg.empty() && arg[0] == '-') {
       std::fprintf(stderr, "benchdiff: unknown argument '%s'\n", arg.c_str());
       usage(argv[0], 2);
@@ -62,10 +82,6 @@ int main(int argc, char** argv) {
     }
   }
   if (paths.size() != 2) usage(argv[0], 2);
-  if (options.rtol < 0.0 || options.atol < 0.0) {
-    std::fprintf(stderr, "benchdiff: tolerances must be non-negative\n");
-    return 2;
-  }
 
   try {
     const auto golden = pet::verify::load_bench_json(paths[0]);
