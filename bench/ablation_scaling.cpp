@@ -9,7 +9,7 @@
 // This regenerates the paper's headline complexity claim as data.
 //
 // The second table benchmarks the construction path itself — the SIMD
-// batch hash plus the (optionally parallel) radix sort behind
+// batch hash plus the (optionally parallel) prefix-bucket index behind
 // SortedPetChannel::rebuild — at populations up to 10^8 (docs/
 // performance.md).  Its golden-gated cells are the deterministic ones
 // (n, rebuilds, a checksum of the sorted code array, identical across
@@ -162,14 +162,14 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
 
-    // The checksum re-derives the final rebuild's sorted code array through
-    // the same batch-hash + parallel-partition kernels the channel uses.
+    // The checksum re-derives the final rebuild's code set through the same
+    // batch-hash kernel the channel uses, radix-sorted into a canonical
+    // order.
     std::vector<std::uint64_t> codes;
     rng::uniform_code_batch(config.hash, options.seed + 7000 + rebuilds - 1,
                             pop.ids(), config.tree_height, codes);
     std::vector<std::uint64_t> scratch;
-    radix_sort_u64_parallel(codes, scratch, config.tree_height,
-                            build_parallel_for());
+    radix_sort_u64(codes, scratch, config.tree_height);
 
     build_table.add_row({bench::TablePrinter::num(n),
                          bench::TablePrinter::num(rebuilds),

@@ -70,7 +70,7 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
     }
   }
   runtime::global_runner().configure(options.threads, !options.quiet);
-  // Intra-trial parallel radix partition shares the same --threads budget.
+  // Intra-trial parallel prefix partition shares the same --threads budget.
   // Builds issued from pool workers stay serial (cross-trial parallelism
   // already owns the cores), so this only engages for foreground builds.
   runtime::configure_build_parallelism(options.threads);

@@ -77,7 +77,8 @@ void BM_PetRoundExactChannel(benchmark::State& state) {
 BENCHMARK(BM_PetRoundExactChannel)->Range(1000, 1000000)->Complexity();
 
 void BM_PetRoundSortedChannel(benchmark::State& state) {
-  chan::SortedPetChannel channel(tags_for(state.range(0)));
+  const auto ids = tags_for(state.range(0));
+  chan::SortedPetChannel channel(ids);
   const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
   std::uint64_t r = 0;
   for (auto _ : state) {
@@ -104,7 +105,8 @@ void BM_PetRoundSampledChannel(benchmark::State& state) {
 BENCHMARK(BM_PetRoundSampledChannel)->Range(1000, 1000000);
 
 void BM_FullEstimate50kTags(benchmark::State& state) {
-  chan::SortedPetChannel channel(tags_for(50000));
+  const auto ids = tags_for(50000);
+  chan::SortedPetChannel channel(ids);
   const core::PetEstimator estimator(core::PetConfig{}, {0.05, 0.01});
   std::uint64_t seed = 0;
   for (auto _ : state) {
@@ -147,7 +149,8 @@ BENCHMARK(BM_ObsCounterAddEnabled);
 
 void pet_round_at_level(benchmark::State& state, obs::Level level) {
   obs::set_level(level);
-  chan::SortedPetChannel channel(tags_for(100000));
+  const auto ids = tags_for(100000);
+  chan::SortedPetChannel channel(ids);
   const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
   std::uint64_t r = 0;
   for (auto _ : state) {
@@ -222,7 +225,8 @@ void BM_UniformCodeBatch(benchmark::State& state) {
 BENCHMARK(BM_UniformCodeBatch)->Range(1000, 1000000);
 
 void BM_PetRoundProbed(benchmark::State& state) {
-  chan::SortedPetChannel channel(tags_for(state.range(0)));
+  const auto ids = tags_for(state.range(0));
+  chan::SortedPetChannel channel(ids);
   const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
   std::uint64_t r = 0;
   for (auto _ : state) {
@@ -235,7 +239,8 @@ void BM_PetRoundProbed(benchmark::State& state) {
 BENCHMARK(BM_PetRoundProbed)->Range(1000, 1000000)->Complexity();
 
 void BM_PetRoundOracle(benchmark::State& state) {
-  chan::SortedPetChannel channel(tags_for(state.range(0)));
+  const auto ids = tags_for(state.range(0));
+  chan::SortedPetChannel channel(ids);
   const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
   std::uint64_t r = 0;
   for (auto _ : state) {

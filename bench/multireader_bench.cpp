@@ -20,15 +20,21 @@
 
 namespace {
 
+// `audible` receives each zone's tag set and must outlive the controller,
+// whose channels keep a pointer to it.
 pet::multi::MultiReaderController make_controller(
-    const pet::tags::ZoneMap& zones) {
+    const pet::tags::ZoneMap& zones,
+    std::vector<std::vector<pet::TagId>>& audible) {
   // Sorted preloaded-code channels per zone: duplicate tags in overlapping
   // zones carry identical codes (same manufacturing seed), which is what
   // makes the fusion duplicate-insensitive.
-  std::vector<std::unique_ptr<pet::chan::PrefixChannel>> readers;
+  audible.clear();
   for (std::size_t z = 0; z < zones.zone_count(); ++z) {
-    readers.push_back(std::make_unique<pet::chan::SortedPetChannel>(
-        zones.audible_in(z)));
+    audible.push_back(zones.audible_in(z));
+  }
+  std::vector<std::unique_ptr<pet::chan::PrefixChannel>> readers;
+  for (const std::vector<pet::TagId>& ids : audible) {
+    readers.push_back(std::make_unique<pet::chan::SortedPetChannel>(ids));
   }
   return pet::multi::MultiReaderController(std::move(readers));
 }
@@ -66,7 +72,8 @@ int main(int argc, char** argv) {
             tags::ZoneMap zones(readers, rng::derive_seed(options.seed, run));
             zones.scatter(pop);
             zones.add_overlap(0.3);
-            auto controller = make_controller(zones);
+            std::vector<std::vector<TagId>> audible;
+            auto controller = make_controller(zones, audible);
             return estimator.estimate(
                 controller, rng::derive_seed(options.seed, 1000 + run));
           },
@@ -111,7 +118,8 @@ int main(int argc, char** argv) {
             for (std::size_t z = 0; z < 4; ++z) {
               audible_total += zones.audible_in(z).size();
             }
-            auto controller = make_controller(zones);
+            std::vector<std::vector<TagId>> audible;
+            auto controller = make_controller(zones, audible);
             const double n_hat =
                 estimator
                     .estimate(controller,
@@ -149,7 +157,8 @@ int main(int argc, char** argv) {
       zones.scatter(pop);
       for (std::uint64_t run = 0; run < options.runs; ++run) {
         zones.step(move);
-        auto controller = make_controller(zones);
+        std::vector<std::vector<TagId>> audible;
+        auto controller = make_controller(zones, audible);
         summary.add(estimator
                         .estimate(controller,
                                   rng::derive_seed(options.seed, 3000 + run))

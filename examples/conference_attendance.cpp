@@ -19,12 +19,18 @@
 
 namespace {
 
+// `audible` receives each hall's badge set and must outlive the
+// controller, whose channels keep a pointer to it.
 pet::multi::MultiReaderController controller_for(
-    const pet::tags::ZoneMap& halls) {
-  std::vector<std::unique_ptr<pet::chan::PrefixChannel>> readers;
+    const pet::tags::ZoneMap& halls,
+    std::vector<std::vector<pet::TagId>>& audible) {
+  audible.clear();
   for (std::size_t hall = 0; hall < halls.zone_count(); ++hall) {
-    readers.push_back(std::make_unique<pet::chan::SortedPetChannel>(
-        halls.audible_in(hall)));
+    audible.push_back(halls.audible_in(hall));
+  }
+  std::vector<std::unique_ptr<pet::chan::PrefixChannel>> readers;
+  for (const std::vector<pet::TagId>& badges : audible) {
+    readers.push_back(std::make_unique<pet::chan::SortedPetChannel>(badges));
   }
   return pet::multi::MultiReaderController(std::move(readers));
 }
@@ -59,7 +65,8 @@ int main() {
                             "closing"};
   std::uint64_t seed = 1;
   for (const char* session : sessions) {
-    auto controller = controller_for(halls);
+    std::vector<std::vector<TagId>> audible;
+    auto controller = controller_for(halls, audible);
     const auto result = estimator.estimate(controller, seed);
     std::printf("%-10s %16zu %10.0f %16llu\n", session, halls.distinct_tags(),
                 result.n_hat,

@@ -35,7 +35,7 @@ find "$BUILD_DIR/src" -path '*gen2*' -name '*.gcda' | grep -q . ||
     { echo "coverage: no gcov data for src/gen2 — were the gen2 tests run?" >&2; exit 1; }
 
 # Same for the construction fast path: the SIMD hash kernel, the tier
-# probe, the parallel radix partition and its pool executor are covered by
+# probe, the prefix partition and its pool executor are covered by
 # tests/simd_parity_test and tests/parallel_build_test (label `simd`).
 for unit in hash_simd simd radix parallel_exec; do
     find "$BUILD_DIR/src" -name "${unit}.cpp.gcda" -o -name "${unit}*.gcda" | grep -q . ||

@@ -2,7 +2,7 @@
 //
 // A sweep runs thousands of independent trials whose channels differ only
 // in their seed; constructing a fresh channel per trial makes allocation
-// and (for SortedPetChannel) hashing + sorting the dominant cost of a
+// and (for SortedPetChannel) hashing + indexing the dominant cost of a
 // trial.  These helpers hand each worker thread one long-lived channel that
 // is re-keyed per trial — SortedPetChannel::rebuild / SampledChannel::reset
 // reinstate exactly the freshly-constructed state while retaining every

@@ -18,6 +18,15 @@ const obs::ChannelInstruments& chan_obs() {
   static const obs::ChannelInstruments bundle("sorted");
   return bundle;
 }
+
+// Index width k = clamp(bit_width(n) - 3, 1, min(H, 16)): n / 2^k lies in
+// [4, 8) once n >= 16, so a bucket holds a handful of codes, and the cap
+// keeps the bounds array at most 2^16 + 1 entries.
+unsigned prefix_bits_for(std::size_t n, unsigned height) {
+  const int k = static_cast<int>(std::bit_width(n)) - 3;
+  return static_cast<unsigned>(
+      std::clamp(k, 1, static_cast<int>(std::min(height, 16u))));
+}
 }  // namespace
 
 SortedPetChannel::SortedPetChannel(const std::vector<TagId>& tags,
@@ -29,25 +38,27 @@ SortedPetChannel::SortedPetChannel(const std::vector<TagId>& tags,
   build_codes();
 }
 
-// Hash + sort the preloaded codes: batched hashing (seed mix hoisted, SIMD
-// lanes at the active pet::simd_tier()) into a radix sort — through the
-// parallel MSB partition when a build executor is registered
-// (runtime::configure_build_parallelism).  The sorted value array equals
-// what element-wise hashing + std::sort would produce, so every probe
-// answer matches the ExactChannel reference (tests/fastpath_test.cpp,
-// tests/simd_parity_test.cpp, tests/parallel_build_test.cpp).  With
-// counters on, the build is bracketed by the pet.build.* bundle: one clock
-// pair per *build*, not per element.
+// Hash the preloaded codes into the scratch buffer (batched, SIMD lanes at
+// the active pet::simd_tier()), then index them by their top k bits with
+// one counting pass — through the registered build executor
+// (runtime::configure_build_parallelism) when there is one.  Every probe
+// answer is a count or a maximum over whole buckets, so it matches the
+// ExactChannel reference whatever the order inside a bucket or the worker
+// count (tests/fastpath_test.cpp, tests/channel_test.cpp,
+// tests/parallel_build_test.cpp).  With counters on, the build is bracketed
+// by the pet.build.* bundle: one clock pair per *build*, not per element.
 void SortedPetChannel::build_codes() {
   using Clock = std::chrono::steady_clock;
   const bool timed = obs::counters_enabled();
   const auto t0 = timed ? Clock::now() : Clock::time_point{};
   rng::uniform_code_batch(config_.hash, config_.manufacturing_seed, *tags_,
-                          config_.tree_height, code_values_);
+                          config_.tree_height, hash_scratch_);
   const auto t1 = timed ? Clock::now() : Clock::time_point{};
-  RadixPartitionStats stats;
-  radix_sort_u64_parallel(code_values_, sort_scratch_, config_.tree_height,
-                          build_parallel_for(), &stats);
+  prefix_bits_ = prefix_bits_for(hash_scratch_.size(), config_.tree_height);
+  PrefixPartitionStats stats;
+  prefix_partition_u64(hash_scratch_, config_.tree_height, prefix_bits_,
+                       code_values_, bucket_end_, partition_counts_,
+                       build_parallel_for(), timed ? &stats : nullptr);
   if (!timed) return;
   const auto t2 = Clock::now();
   const auto us = [](Clock::duration d) {
@@ -61,8 +72,8 @@ void SortedPetChannel::build_codes() {
   bi.sort_us.add(us(t2 - t1));
   bi.simd_lanes.set(simd_lanes(simd_tier()));
   bi.partition_workers.set(stats.workers);
-  if (stats.workers > 1 && stats.buckets_used > 0) {
-    bi.partition_buckets.set(stats.buckets_used);
+  if (stats.buckets_used > 0) {
+    bi.partition_buckets.set(static_cast<double>(stats.buckets_used));
     const double mean = static_cast<double>(code_values_.size()) /
                         static_cast<double>(stats.buckets_used);
     bi.bucket_skew_milli.set(1000.0 * static_cast<double>(stats.max_bucket) /
@@ -133,6 +144,9 @@ void SortedPetChannel::begin_round(const RoundConfig& round) {
           "SortedPetChannel supports preloaded-code mode only (Algorithm 4); "
           "use ExactChannel or DeviceChannel for per-round rehashing");
   path_value_ = round.path.value();
+  path_bucket_ =
+      static_cast<std::size_t>(path_value_ >> (config_.tree_height -
+                                               prefix_bits_));
   query_bits_ = round.query_bits;
   round_open_ = true;
   depth_valid_ = false;
@@ -141,12 +155,14 @@ void SortedPetChannel::begin_round(const RoundConfig& round) {
   if (obs::counters_enabled()) chan_obs().rounds.add();
 }
 
-// One insertion-point lookup locates the sorted neighborhood of the path
-// value; the deepest busy prefix is then the longer of the path's LCPs with
-// its two neighbors.  (For any query, the longest-common-prefix maximum
-// over a sorted array is attained at an element adjacent to the query's
-// insertion point: every other element differs from the query at or before
-// the bit where its nearer neighbor does.)
+// Codes in the path's bucket share its top k bits, so when that bucket is
+// non-empty the deepest busy prefix is the longest LCP inside it.  When it
+// is empty, every code differs from the path within the top k bits, where
+// only the bucket index matters: the maximum is then attained in the
+// nearest non-empty bucket below or above (for any query, the LCP maximum
+// over an ordered set is attained next to the query's insertion point),
+// and any code of each will do — the last code before the bucket and the
+// first one after it.
 void SortedPetChannel::ensure_depth() {
   if (depth_valid_) return;
   expects(round_open_, "round_depth before begin_round");
@@ -158,15 +174,18 @@ void SortedPetChannel::ensure_depth() {
     return static_cast<unsigned>(std::countl_zero(x)) -
            (BitCode::kMaxWidth - height);
   };
-  const auto first = std::lower_bound(code_values_.begin(),
-                                      code_values_.end(), path_value_);
-  pos_ = static_cast<std::size_t>(first - code_values_.begin());
+  const std::uint32_t first = bucket_end_[path_bucket_];
+  const std::uint32_t last = bucket_end_[path_bucket_ + 1];
   unsigned depth = 0;
-  if (pos_ < code_values_.size()) {
-    depth = lcp(code_values_[pos_], path_value_);
-  }
-  if (pos_ > 0) {
-    depth = std::max(depth, lcp(code_values_[pos_ - 1], path_value_));
+  if (first != last) {
+    for (std::uint32_t i = first; i < last; ++i) {
+      depth = std::max(depth, lcp(code_values_[i], path_value_));
+    }
+  } else {
+    if (first > 0) depth = lcp(code_values_[first - 1], path_value_);
+    if (last < code_values_.size()) {
+      depth = std::max(depth, lcp(code_values_[last], path_value_));
+    }
   }
   depth_ = depth;
   depth_valid_ = true;
@@ -177,68 +196,46 @@ unsigned SortedPetChannel::round_depth() {
   return depth_;
 }
 
+// Codes under the path's length-`len` prefix.  A prefix no longer than k
+// covers a run of whole buckets, so its population is one difference of two
+// bounds (len == 0 spans every bucket); a longer prefix lies inside the
+// path's bucket, which is scanned.
+std::size_t SortedPetChannel::count_in_range(unsigned len) const noexcept {
+  if (len <= prefix_bits_) {
+    const unsigned span = prefix_bits_ - len;
+    const std::size_t first = (path_bucket_ >> span) << span;
+    return bucket_end_[first + (std::size_t{1} << span)] -
+           bucket_end_[first];
+  }
+  const unsigned shift = config_.tree_height - len;
+  const std::uint64_t prefix = path_value_ >> shift;
+  std::size_t count = 0;
+  for (std::uint32_t i = bucket_end_[path_bucket_];
+       i < bucket_end_[path_bucket_ + 1]; ++i) {
+    if ((code_values_[i] >> shift) == prefix) ++count;
+  }
+  return count;
+}
+
 bool SortedPetChannel::query_prefix(unsigned len) {
   expects(round_open_, "query_prefix before begin_round");
   expects(len <= config_.tree_height, "query_prefix: len exceeds H");
-
-  std::size_t responders;
-  if (len == 0) {
-    responders = code_values_.size();
-  } else {
-    const unsigned shift = config_.tree_height - len;
-    const std::uint64_t lo = (path_value_ >> shift) << shift;
-    const auto first = std::lower_bound(code_values_.begin(),
-                                        code_values_.end(), lo);
-    // hi wraps to 0 exactly when the probed range reaches the top of the
-    // code space (all-ones prefix with H == 64); the range then extends to
-    // the end of the array.
-    const std::uint64_t hi = lo + (std::uint64_t{1} << shift);
-    const auto last = (hi == 0)
-                          ? code_values_.end()
-                          : std::lower_bound(first, code_values_.end(), hi);
-    responders = static_cast<std::size_t>(last - first);
-  }
-
+  const std::size_t responders = count_in_range(len);
   account_probe(responders);
   return responders > 0;
 }
 
 // Synthesized probe: the busy verdict comes from the round depth (busy iff
-// len <= d, n >= 1), so idle probes are answered without any search, and
-// busy probes count responders with searches bounded by the insertion
-// point pos_ (the matching range always brackets it).  The accounting call
-// is the same one query_prefix makes -- one call per probe with the same
-// addends -- so ledger totals, including the floating-point airtime sum,
-// are bit-identical.
+// len <= d; with n == 0, d == 0 and the count is 0), so idle probes are
+// answered without touching the index.  The accounting call is the same one
+// query_prefix makes -- one call per probe with the same addends -- so
+// ledger totals, including the floating-point airtime sum, are
+// bit-identical.
 bool SortedPetChannel::synth_probe(unsigned len) {
   expects(round_open_, "synth_probe before begin_round");
   expects(len <= config_.tree_height, "synth_probe: len exceeds H");
   ensure_depth();
-
-  std::size_t responders;
-  if (len == 0) {
-    responders = code_values_.size();
-  } else if (code_values_.empty() || len > depth_) {
-    responders = 0;
-  } else {
-    const unsigned shift = config_.tree_height - len;
-    const std::uint64_t lo = (path_value_ >> shift) << shift;
-    // lo <= path_value_ < hi, so the matching range's bounds straddle pos_:
-    // search only [begin, pos_) for the left edge and [pos_, end) for the
-    // right edge.
-    const auto first = std::lower_bound(code_values_.begin(),
-                                        code_values_.begin() +
-                                            static_cast<std::ptrdiff_t>(pos_),
-                                        lo);
-    const std::uint64_t hi = lo + (std::uint64_t{1} << shift);
-    const auto last =
-        (hi == 0) ? code_values_.end()
-                  : std::lower_bound(code_values_.begin() +
-                                         static_cast<std::ptrdiff_t>(pos_),
-                                     code_values_.end(), hi);
-    responders = static_cast<std::size_t>(last - first);
-  }
-
+  const std::size_t responders = len <= depth_ ? count_in_range(len) : 0;
   account_probe(responders);
   return responders > 0;
 }

@@ -1,8 +1,8 @@
-// Minimal executor seam between the layer-0 sorting engine and the
-// pet::runtime thread pool.
+// Minimal executor seam between the layer-0 prefix-partition engine and
+// the pet::runtime thread pool.
 //
 // common sits below runtime in the module graph (src/CMakeLists.txt), so
-// radix.cpp cannot name ThreadPool.  Instead the parallel radix build takes
+// radix.cpp cannot name ThreadPool.  Instead the chunked partition takes
 // this abstract chunked-for-each; pet::runtime implements it over the build
 // pool (src/runtime/parallel_exec.hpp) and registers it process-wide, and
 // SortedPetChannel picks it up at build time.  A null executor (the
@@ -13,8 +13,9 @@
 // [0, n) into `workers()` contiguous chunks, chunk w = [w*n/W, (w+1)*n/W),
 // and return only after every chunk completed.  Chunk boundaries are a
 // pure function of (n, W); callers that need byte-identical output at any
-// worker count must not let W leak into results (the radix partition
-// doesn't: a sorted array is unique, see docs/performance.md).
+// worker count must not let W leak into results (the prefix partition
+// doesn't: bucket bounds and bucket multisets are functions of the keys,
+// see docs/performance.md).
 #pragma once
 
 #include <algorithm>
@@ -38,7 +39,7 @@ class ParallelFor {
                                             std::size_t)>& fn) = 0;
 };
 
-/// Chunk boundary helper shared by implementations and the radix build:
+/// Chunk boundary helper shared by implementations and the partition:
 /// chunk w of [0, n) split W ways is [chunk_begin(n,W,w), chunk_begin(n,W,w+1)).
 [[nodiscard]] constexpr std::size_t chunk_begin(std::size_t n, unsigned total,
                                                 unsigned index) noexcept {

@@ -12,6 +12,31 @@
 
 namespace pet::multi {
 
+namespace {
+
+// One SortedPetChannel per reader over the tags audible in its zone.
+// `audible` receives those tag sets and must outlive the channels, which
+// keep a pointer to them for rebuild().
+std::vector<std::unique_ptr<chan::PrefixChannel>> zone_readers(
+    const tags::ZoneMap& zones, std::size_t readers, unsigned tree_height,
+    std::vector<std::vector<TagId>>& audible) {
+  audible.clear();
+  for (std::size_t z = 0; z < readers; ++z) {
+    audible.push_back(zones.audible_in(z));
+  }
+  chan::SortedPetChannelConfig channel_config;
+  channel_config.tree_height = tree_height;
+  std::vector<std::unique_ptr<chan::PrefixChannel>> channels;
+  channels.reserve(readers);
+  for (const std::vector<TagId>& ids : audible) {
+    channels.push_back(
+        std::make_unique<chan::SortedPetChannel>(ids, channel_config));
+  }
+  return channels;
+}
+
+}  // namespace
+
 void DeploymentConfig::validate() const {
   expects(readers >= 1, "Deployment needs at least one reader");
   expects(coverage_overlap >= 0.0 && coverage_overlap <= 1.0,
@@ -55,15 +80,10 @@ std::size_t Deployment::shuffle_tags(double probability) {
 
 Census Deployment::run_census(std::optional<std::uint64_t> rounds,
                               double interval_delta) {
-  std::vector<std::unique_ptr<chan::PrefixChannel>> readers;
-  readers.reserve(config_.readers);
-  for (std::size_t z = 0; z < config_.readers; ++z) {
-    chan::SortedPetChannelConfig channel_config;
-    channel_config.tree_height = config_.pet.tree_height;
-    readers.push_back(std::make_unique<chan::SortedPetChannel>(
-        zones_.audible_in(z), channel_config));
-  }
-  MultiReaderController controller(std::move(readers));
+  std::vector<std::vector<TagId>> audible;  // outlives the reader channels
+  MultiReaderController controller(
+      zone_readers(zones_, config_.readers, config_.pet.tree_height,
+                   audible));
 
   ++epoch_;
   const std::uint64_t census_seed =
@@ -119,15 +139,10 @@ Census Deployment::estimate_missing(
 
 core::PetSketch Deployment::sketch(std::uint64_t rounds,
                                    std::uint64_t sketch_seed) {
-  std::vector<std::unique_ptr<chan::PrefixChannel>> readers;
-  readers.reserve(config_.readers);
-  for (std::size_t z = 0; z < config_.readers; ++z) {
-    chan::SortedPetChannelConfig channel_config;
-    channel_config.tree_height = config_.pet.tree_height;
-    readers.push_back(std::make_unique<chan::SortedPetChannel>(
-        zones_.audible_in(z), channel_config));
-  }
-  MultiReaderController controller(std::move(readers));
+  std::vector<std::vector<TagId>> audible;  // outlives the reader channels
+  MultiReaderController controller(
+      zone_readers(zones_, config_.readers, config_.pet.tree_height,
+                   audible));
   return core::PetSketch::take(controller, config_.pet, rounds, sketch_seed);
 }
 

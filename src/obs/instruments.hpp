@@ -141,19 +141,24 @@ inline void record_ledger_slot(std::size_t responders, unsigned downlink_bits,
 
 /// SortedPetChannel construction — the per-trial re-keying hot path
 /// (docs/performance.md).  builds/codes fold deterministically; everything
-/// else describes *how* the most recent build ran (SIMD tier, partition
-/// shape, phase timing), which depends on the host CPU and the configured
-/// build parallelism — Domain::kProfile by the usual rule.
+/// else describes *how* the most recent build ran (SIMD tier, index shape,
+/// phase timing), which depends on the host CPU and the configured build
+/// parallelism — Domain::kProfile by the usual rule.  The partition gauges
+/// describe the k-bit prefix-bucket index on every build, serial ones
+/// included.
 struct BuildInstruments {
   Counter builds;            ///< pet.build.builds (channel (re)builds)
-  Counter codes;             ///< pet.build.codes (codes hashed + sorted)
+  Counter codes;             ///< pet.build.codes (codes hashed + indexed)
   Gauge simd_lanes;          ///< pet.build.simd_lanes (profile: 1 or 8)
-  Gauge partition_workers;   ///< pet.build.partition_workers (profile)
-  Gauge partition_buckets;   ///< pet.build.partition_buckets (profile)
+  Gauge partition_workers;   ///< pet.build.partition_workers (profile:
+                             ///  chunks of the counting pass, 1 == serial)
+  Gauge partition_buckets;   ///< pet.build.partition_buckets (profile:
+                             ///  non-empty buckets of the 2^k)
   Gauge bucket_skew_milli;   ///< pet.build.bucket_skew_milli (profile:
                              ///  1000 * max_bucket / mean_bucket)
   Counter hash_us;           ///< pet.build.hash_us (profile phase split)
-  Counter sort_us;           ///< pet.build.sort_us (profile phase split)
+  Counter sort_us;           ///< pet.build.sort_us (profile: the bucket
+                             ///  pass; the name predates the index)
 };
 
 inline const BuildInstruments& build_instruments() {

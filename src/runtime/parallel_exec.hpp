@@ -1,7 +1,7 @@
 // Pool-backed implementation of the pet::ParallelFor build-executor seam
-// (src/common/parallel.hpp): the bridge that lets the layer-0 parallel
-// radix partition run on a pet::runtime thread pool without common ever
-// linking runtime.
+// (src/common/parallel.hpp): the bridge that lets the layer-0 prefix
+// partition run on a pet::runtime thread pool without common ever linking
+// runtime.
 //
 // The build pool is separate from the trial pool, and the executor reports
 // a single worker whenever the calling thread is itself a pool worker
@@ -12,9 +12,10 @@
 // warm-up, the ablation_scaling bench, petd population loads) fan out.
 //
 // Determinism: the executor only ever changes *where* chunk work runs; the
-// chunk partition is the fixed chunk_begin split, and the radix partition's
-// output is the unique sorted array, so artifacts are byte-identical at any
-// --threads (docs/performance.md).
+// chunk partition is the fixed chunk_begin split, and the prefix
+// partition's bucket bounds and bucket multisets are functions of the keys
+// alone, so artifacts are byte-identical at any --threads
+// (docs/performance.md).
 #pragma once
 
 #include "common/parallel.hpp"

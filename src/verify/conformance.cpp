@@ -1,6 +1,7 @@
 #include "verify/conformance.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -10,8 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "channel/sorted_pet_channel.hpp"
 #include "common/parallel.hpp"
-#include "common/radix.hpp"
 #include "common/simd.hpp"
 #include "core/constants.hpp"
 #include "core/theory.hpp"
@@ -132,18 +133,19 @@ CheckResult check_theory(const Context&) {
 
 // ----------------------------------------------------------------- build --
 
-/// Deterministic byte-identity of the construction fast path: the SIMD
-/// batch hash + parallel MSB radix partition must reproduce the scalar
-/// serial build and the element-wise uniform_code oracle exactly.  Not a
-/// hypothesis test (no sampling distribution), so it stays outside the
-/// kGofTestCount Bonferroni family.
+/// Deterministic identity of the construction fast path: a channel built
+/// serially and one built through a registered build executor (SIMD batch
+/// hash + chunked prefix partition) must answer every round-depth and
+/// prefix-count query exactly as the element-wise uniform_code oracle does.
+/// Not a hypothesis test (no sampling distribution), so it stays outside
+/// the kGofTestCount Bonferroni family.
 CheckResult check_build_identity(const Context& ctx) {
   CheckResult result;
   result.name = "build/simd-parallel-identity";
   std::string errors;
 
-  // Deterministic in-caller executor: exercises the parallel partition's
-  // chunking and merge order without depending on thread scheduling.
+  // Deterministic in-caller executor: exercises the partition's chunking
+  // and bucket-major layout without depending on thread scheduling.
   class InlineParallelFor final : public ParallelFor {
    public:
     [[nodiscard]] unsigned workers() const noexcept override { return 4; }
@@ -161,45 +163,81 @@ CheckResult check_build_identity(const Context& ctx) {
   const std::uint64_t n = ctx.scaled(200000, 30000);
   const auto population =
       tags::TagPopulation::generate(n, ctx.check_seed(40));
+  const std::vector<TagId> ids(population.ids().begin(),
+                               population.ids().end());
   const std::uint64_t seed = ctx.check_seed(41);
+  rng::SplitMix64 path_gen(ctx.check_seed(42));
 
   for (const unsigned height : {13u, 32u, 64u}) {
     // Element-wise oracle, sorted by the standard library.
     std::vector<std::uint64_t> oracle;
     oracle.reserve(n);
-    for (const TagId id : population.ids()) {
+    for (const TagId id : ids) {
       oracle.push_back(
           rng::uniform_code(rng::HashKind::kMix64, seed, id, height).value());
     }
     std::sort(oracle.begin(), oracle.end());
 
-    std::vector<std::uint64_t> serial_codes;
-    rng::uniform_code_batch(rng::HashKind::kMix64, seed, population.ids(),
-                            height, serial_codes);
-    std::vector<std::uint64_t> parallel_codes = serial_codes;
-    std::vector<std::uint64_t> scratch;
-    radix_sort_u64(serial_codes, scratch, height);
-    RadixPartitionStats stats;
-    radix_sort_u64_parallel(parallel_codes, scratch, height, &executor,
-                            &stats);
+    chan::SortedPetChannelConfig config;
+    config.tree_height = height;
+    config.manufacturing_seed = seed;
+    ParallelFor* const registered = build_parallel_for();
+    set_build_parallel_for(nullptr);
+    chan::SortedPetChannel serial(ids, config);
+    set_build_parallel_for(&executor);
+    chan::SortedPetChannel chunked(ids, config);
+    set_build_parallel_for(registered);
 
-    if (serial_codes != oracle) {
-      errors += fmt(" batch hash + serial sort diverges from oracle at H=%u "
-                    "(tier %s);",
-                    height, to_string(simd_tier()).data());
-    }
-    if (parallel_codes != oracle) {
-      errors += fmt(" parallel build diverges from oracle at H=%u "
-                    "(tier %s, %u partition workers);",
-                    height, to_string(simd_tier()).data(), stats.workers);
+    const std::uint64_t mask =
+        height == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << height) - 1;
+    const std::uint64_t paths[] = {0, mask, oracle[n / 2],
+                                   path_gen() & mask, path_gen() & mask};
+    for (const std::uint64_t path : paths) {
+      unsigned want_depth = 0;
+      for (const std::uint64_t code : oracle) {
+        const std::uint64_t x = code ^ path;
+        want_depth = std::max(
+            want_depth, x == 0 ? height
+                               : static_cast<unsigned>(std::countl_zero(x)) -
+                                     (64 - height));
+      }
+      for (chan::SortedPetChannel* channel : {&serial, &chunked}) {
+        const char* const which = channel == &serial ? "serial" : "chunked";
+        channel->begin_round(chan::RoundConfig{BitCode(path, height)});
+        if (channel->round_depth() != want_depth) {
+          errors += fmt(" %s build: depth %u != oracle %u at H=%u;", which,
+                        channel->round_depth(), want_depth, height);
+        }
+        for (unsigned len = 0; len <= height; ++len) {
+          const unsigned shift = height - len;
+          const std::uint64_t lo = len == 0 ? 0 : (path >> shift) << shift;
+          const auto first =
+              std::lower_bound(oracle.begin(), oracle.end(), lo);
+          const auto last =
+              len == 0 || lo + (std::uint64_t{1} << shift) == 0
+                  ? oracle.end()
+                  : std::lower_bound(first, oracle.end(),
+                                     lo + (std::uint64_t{1} << shift));
+          const auto want = static_cast<std::uint64_t>(last - first);
+          const std::uint64_t before = channel->ledger().tag_bits;
+          channel->query_prefix(len);
+          const std::uint64_t got = channel->ledger().tag_bits - before;
+          if (got != want) {
+            errors += fmt(" %s build: %llu responders != oracle %llu at "
+                          "H=%u len=%u;",
+                          which, static_cast<unsigned long long>(got),
+                          static_cast<unsigned long long>(want), height, len);
+          }
+        }
+      }
     }
   }
 
   result.passed = errors.empty();
   result.detail =
       errors.empty()
-          ? fmt("sorted codes byte-identical (oracle vs %s batch hash + "
-                "serial/parallel sort) at n=%llu, H in {13,32,64}",
+          ? fmt("depths and prefix counts match the oracle (%s batch hash "
+                "+ serial/4-chunk prefix index) at n=%llu, H in {13,32,64}",
                 to_string(simd_tier()).data(),
                 static_cast<unsigned long long>(n))
           : errors;

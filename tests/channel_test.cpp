@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "channel/channel.hpp"
@@ -188,6 +189,23 @@ TEST(SortedPetChannel, RejectsRehashRounds) {
   EXPECT_THROW(
       channel.begin_round(RoundConfig{path_for(0, 32), 1, true, 32, 32}),
       PreconditionError);
+}
+
+// rebuild() rehashes through the tag vector captured at construction, so a
+// temporary would leave it reading freed memory: only lvalues compile.
+TEST(SortedPetChannel, RefusesTemporaryTagVectors) {
+  static_assert(!std::is_constructible_v<SortedPetChannel,
+                                         std::vector<TagId>&&>);
+  static_assert(!std::is_constructible_v<SortedPetChannel, std::vector<TagId>,
+                                         SortedPetChannelConfig>);
+  static_assert(
+      std::is_constructible_v<SortedPetChannel, const std::vector<TagId>&>);
+  static_assert(std::is_constructible_v<SortedPetChannel, std::vector<TagId>&,
+                                        SortedPetChannelConfig>);
+  const auto tags = make_tags(100, 2);
+  SortedPetChannel channel(tags);
+  channel.rebuild(0x5eedULL);
+  EXPECT_EQ(channel.tag_count(), tags.size());
 }
 
 TEST(DeviceChannel, BitIdenticalToExactChannel) {

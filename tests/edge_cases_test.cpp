@@ -313,18 +313,21 @@ TEST(FailureInjection, SplittingToleratesReplyLoss) {
 // ------------------------------------------------------------ misc contracts
 
 TEST(Contracts, ChannelsRejectBadRoundConfigs) {
-  chan::SortedPetChannel channel(make_tags(10, 26));
+  const auto channel_tags = make_tags(10, 26);
+  chan::SortedPetChannel channel(channel_tags);
   // Wrong path width.
   EXPECT_THROW(channel.begin_round(chan::RoundConfig{BitCode(0, 16), 0,
                                                      false, 32, 32}),
                PreconditionError);
   // Query before any round.
-  chan::SortedPetChannel fresh(make_tags(10, 27));
+  const auto fresh_tags = make_tags(10, 27);
+  chan::SortedPetChannel fresh(fresh_tags);
   EXPECT_THROW((void)fresh.query_prefix(1), PreconditionError);
 }
 
 TEST(Contracts, EstimatorRejectsZeroRounds) {
-  chan::SortedPetChannel channel(make_tags(10, 28));
+  const auto channel_tags = make_tags(10, 28);
+  chan::SortedPetChannel channel(channel_tags);
   const core::PetEstimator estimator(core::PetConfig{}, {0.2, 0.2});
   EXPECT_THROW((void)estimator.estimate_with_rounds(channel, 0, 1),
                PreconditionError);

@@ -25,7 +25,8 @@ std::vector<TagId> make_tags(std::size_t n, std::uint64_t seed) {
 // --------------------------------------------------------------- confidence
 
 TEST(Confidence, IntervalContainsPointEstimate) {
-  chan::SortedPetChannel channel(make_tags(10000, 1));
+  const auto tags = make_tags(10000, 1);
+  chan::SortedPetChannel channel(tags);
   const PetEstimator estimator(PetConfig{}, {0.1, 0.05});
   const auto result = estimator.estimate_with_rounds(channel, 500, 2);
   const auto ci = confidence_interval(result, 0.05);
@@ -35,7 +36,8 @@ TEST(Confidence, IntervalContainsPointEstimate) {
 }
 
 TEST(Confidence, TighterDeltaWidensInterval) {
-  chan::SortedPetChannel channel(make_tags(10000, 1));
+  const auto tags = make_tags(10000, 1);
+  chan::SortedPetChannel channel(tags);
   const PetEstimator estimator(PetConfig{}, {0.1, 0.05});
   const auto result = estimator.estimate_with_rounds(channel, 500, 2);
   const auto loose = confidence_interval(result, 0.10);
@@ -44,7 +46,8 @@ TEST(Confidence, TighterDeltaWidensInterval) {
 }
 
 TEST(Confidence, MoreRoundsNarrowInterval) {
-  chan::SortedPetChannel channel(make_tags(10000, 1));
+  const auto tags = make_tags(10000, 1);
+  chan::SortedPetChannel channel(tags);
   const PetEstimator estimator(PetConfig{}, {0.1, 0.05});
   const auto few = estimator.estimate_with_rounds(channel, 100, 2);
   const auto many = estimator.estimate_with_rounds(channel, 1600, 2);
@@ -73,7 +76,8 @@ TEST(Confidence, CoversTruthAtTheNominalRate) {
 }
 
 TEST(Confidence, EmpiricalIntervalTracksAsymptoticOne) {
-  chan::SortedPetChannel channel(make_tags(30000, 4));
+  const auto tags = make_tags(30000, 4);
+  chan::SortedPetChannel channel(tags);
   const PetEstimator estimator(PetConfig{}, {0.1, 0.05});
   const auto result = estimator.estimate_with_rounds(channel, 2000, 5);
   const auto asymptotic = confidence_interval(result, 0.05);
@@ -220,7 +224,8 @@ TEST(Monitor, ValidatesConfig) {
 }
 
 TEST(Monitor, WarmsUpBeforeEstimating) {
-  chan::SortedPetChannel channel(make_tags(5000, 12));
+  const auto tags = make_tags(5000, 12);
+  chan::SortedPetChannel channel(tags);
   MonitorConfig config;
   StreamingMonitor monitor(config, 1);
   EXPECT_FALSE(monitor.estimate().has_value());
@@ -231,7 +236,8 @@ TEST(Monitor, WarmsUpBeforeEstimating) {
 }
 
 TEST(Monitor, ConvergesOnStablePopulation) {
-  chan::SortedPetChannel channel(make_tags(20000, 13));
+  const auto tags = make_tags(20000, 13);
+  chan::SortedPetChannel channel(tags);
   MonitorConfig config;
   StreamingMonitor monitor(config, 2);
   for (int i = 0; i < 256; ++i) (void)monitor.tick(channel);
@@ -251,7 +257,8 @@ TEST(Monitor, DetectsAnOrderOfMagnitudeJump) {
 
   auto run_ticks = [&](int count) {
     bool changed = false;
-    chan::SortedPetChannel channel({pop.ids().begin(), pop.ids().end()});
+    const std::vector<TagId> ids(pop.ids().begin(), pop.ids().end());
+    chan::SortedPetChannel channel(ids);
     for (int i = 0; i < count; ++i) changed = monitor.tick(channel) || changed;
     return changed;
   };
@@ -265,7 +272,8 @@ TEST(Monitor, DetectsAnOrderOfMagnitudeJump) {
 }
 
 TEST(Monitor, CountsTicks) {
-  chan::SortedPetChannel channel(make_tags(100, 16));
+  const auto tags = make_tags(100, 16);
+  chan::SortedPetChannel channel(tags);
   StreamingMonitor monitor(MonitorConfig{}, 4);
   for (int i = 0; i < 10; ++i) (void)monitor.tick(channel);
   EXPECT_EQ(monitor.ticks(), 10u);

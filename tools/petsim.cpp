@@ -555,7 +555,7 @@ int cmd_estimate(const Args& args) {
       static_cast<unsigned>(args.get("threads", std::uint64_t{0}));
   const bool quiet = args.kv.count("quiet") != 0;
   runtime::global_runner().configure(threads, !quiet && runs > 1);
-  // The intra-trial parallel radix partition follows the same --threads
+  // The intra-trial parallel prefix partition follows the same --threads
   // budget; pool-worker builds clamp to serial (runtime/parallel_exec.hpp).
   runtime::configure_build_parallelism(threads);
 
@@ -697,15 +697,19 @@ int cmd_estimate(const Args& args) {
       tags::ZoneMap zones(readers, seed);
       zones.scatter(pop);
       zones.add_overlap(args.get("overlap", 0.0));
-      std::vector<std::unique_ptr<chan::PrefixChannel>> zone_channels;
+      std::vector<std::vector<TagId>> audible;  // outlives the channels
       for (std::size_t z = 0; z < readers; ++z) {
-        zone_channels.push_back(std::make_unique<chan::SortedPetChannel>(
-            zones.audible_in(z)));
+        audible.push_back(zones.audible_in(z));
+      }
+      std::vector<std::unique_ptr<chan::PrefixChannel>> zone_channels;
+      for (const std::vector<TagId>& ids : audible) {
+        zone_channels.push_back(std::make_unique<chan::SortedPetChannel>(ids));
       }
       multi::MultiReaderController controller(std::move(zone_channels));
       result = estimator.estimate(controller, seed);
     } else {
-      chan::SortedPetChannel channel({pop.ids().begin(), pop.ids().end()});
+      const std::vector<TagId> ids(pop.ids().begin(), pop.ids().end());
+      chan::SortedPetChannel channel(ids);
       result = estimator.estimate(channel, seed);
     }
     if (!robust) {
@@ -866,7 +870,8 @@ int cmd_monitor(const Args& args) {
     if (t == steps / 3) pop.join_fresh(n0 * 3 / 10, seed + t);
     if (t == 2 * steps / 3) pop.leave_random(pop.size() * 2 / 5, seed + t);
 
-    chan::SortedPetChannel channel({pop.ids().begin(), pop.ids().end()});
+    const std::vector<TagId> ids(pop.ids().begin(), pop.ids().end());
+    chan::SortedPetChannel channel(ids);
     bool changed = false;
     for (int burst = 0; burst < 16; ++burst) {
       changed = monitor.tick(channel) || changed;
