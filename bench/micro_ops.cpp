@@ -176,10 +176,10 @@ BENCHMARK(BM_PetRoundObsCounters);
 // BM_SortedBuildStdSort vs BM_SortedBuildRadix isolate the per-trial channel
 // construction the sweeps pay for every fresh manufacturing seed: the
 // historical element-wise hash + std::sort against the batched hash +
-// key-width-capped LSD radix sort.  BM_PetRoundProbed vs BM_PetRoundOracle
-// isolate one estimation round answered by per-probe binary searches vs the
-// DepthOracle's synthesized probes.  BM_UniformCodeBatch is the hashing
-// floor construction can never drop below.
+// key-width-capped LSD radix sort.  BM_PetRoundProbed isolates one
+// estimation round on the prefix-bucket index, with the per-round depth
+// cache answering idle probes.  BM_UniformCodeBatch is the hashing floor
+// construction can never drop below.
 
 void BM_SortedBuildStdSort(benchmark::State& state) {
   const auto ids = tags_for(state.range(0));
@@ -237,20 +237,6 @@ void BM_PetRoundProbed(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_PetRoundProbed)->Range(1000, 1000000)->Complexity();
-
-void BM_PetRoundOracle(benchmark::State& state) {
-  const auto ids = tags_for(state.range(0));
-  chan::SortedPetChannel channel(ids);
-  const core::PetEstimator estimator(core::PetConfig{}, {0.1, 0.05});
-  std::uint64_t r = 0;
-  for (auto _ : state) {
-    const BitCode path = rng::uniform_code(rng::HashKind::kMix64, ++r, 1, 32);
-    channel.begin_round(chan::RoundConfig{path, 0, false, 32, 32});
-    benchmark::DoNotOptimize(estimator.run_round_synth(channel));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_PetRoundOracle)->Range(1000, 1000000)->Complexity();
 
 }  // namespace
 

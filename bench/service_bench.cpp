@@ -89,8 +89,11 @@ using namespace pet;
       if (i < obs::kSvcLatencySlotBounds.size()) {
         return bench::TablePrinter::num(obs::kSvcLatencySlotBounds[i], 0);
       }
-      return ">" +
-             bench::TablePrinter::num(obs::kSvcLatencySlotBounds.back(), 0);
+      // Appended, not `">" + num(...)`: GCC 12 flags that operator+ with
+      // a false -Wrestrict (GCC PR 105329).
+      std::string label = ">";
+      label += bench::TablePrinter::num(obs::kSvcLatencySlotBounds.back(), 0);
+      return label;
     }
   }
   return "-";

@@ -9,7 +9,11 @@
 #   * SIGUSR1 produces a non-empty Prometheus exposition dump, validated by
 #     obscheck --prom when an obscheck binary is supplied;
 #   * petd exits 0 after SIGTERM within the watchdog budget (graceful
-#     drain, socket unlinked).
+#     drain, socket unlinked);
+#   * connection churn does not leak: CHURN_CONNECTIONS back-to-back
+#     `petctl ping` connections grow petd's VmSize by at most
+#     CHURN_VSZ_BOUND_MB (each session thread that exits without being
+#     joined keeps its 8 MiB stack mapped).
 # Run under ASan (the sanitizers CI job builds the same binaries) this is
 # the memory-safety soak the service ctest label wires in.
 #
@@ -45,6 +49,32 @@ if [ ! -S "$SOCK" ]; then
   echo "service_soak: petd socket never appeared" >&2
   exit 1
 fi
+
+# Connection churn: a finished session must give back its thread.  The
+# bound leaves room for glibc's dead-stack cache (40 MiB) and one fresh
+# malloc arena (64 MiB); 200 leaked stacks would be about 1.6 GiB.
+vsz_kb() { awk '/^VmSize:/ { print $2 }' "/proc/$PETD_PID/status"; }
+ping_n() {
+  for _ in $(seq 1 "$1"); do
+    "$PETCTL" --socket="$SOCK" ping > /dev/null
+  done
+}
+CHURN_CONNECTIONS=200
+CHURN_VSZ_BOUND_MB=128
+ping_n 20  # warm up: worker pools, malloc arenas, cached stacks
+sleep 0.5
+VSZ_BEFORE=$(vsz_kb)
+ping_n "$CHURN_CONNECTIONS"
+sleep 0.5  # at least one 200 ms accept tick after the last session ends
+VSZ_AFTER=$(vsz_kb)
+GROWTH_MB=$(( (VSZ_AFTER - VSZ_BEFORE) / 1024 ))
+if [ "$GROWTH_MB" -gt "$CHURN_VSZ_BOUND_MB" ]; then
+  echo "service_soak: VmSize grew ${GROWTH_MB} MB over $CHURN_CONNECTIONS" \
+       "connections (bound ${CHURN_VSZ_BOUND_MB} MB)" >&2
+  exit 1
+fi
+echo "service_soak: churn of $CHURN_CONNECTIONS connections grew VmSize" \
+     "${GROWTH_MB} MB"
 
 "$PETCTL" --socket="$SOCK" soak --seconds="$BUDGET" --populations=8 \
           --tags=3000 --chaos-loss=0.15 --chaos-noise=0.15 --chaos-close=0.05

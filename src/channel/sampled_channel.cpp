@@ -79,7 +79,7 @@ void SampledChannel::begin_round(const RoundConfig& round) {
   }
 
   if (n_ == 0) {
-    round_depth_ = 0;
+    sampled_depth_ = 0;
     return;
   }
   // Inverse-transform sample of the prefix depth d:
@@ -94,13 +94,13 @@ void SampledChannel::begin_round(const RoundConfig& round) {
       break;
     }
   }
-  round_depth_ = k;
+  sampled_depth_ = k;
 }
 
 bool SampledChannel::query_prefix(unsigned len) {
   expects(round_open_, "query_prefix before begin_round");
   expects(len <= config_.tree_height, "query_prefix: len exceeds H");
-  const bool busy = (n_ > 0) && (len <= round_depth_);
+  const bool busy = (n_ > 0) && (len <= sampled_depth_);
   const std::uint64_t hint = !busy ? 0 : (len == 0 ? n_ : 2);
   if (obs::counters_enabled(obs_mode_)) chan_obs().probe_slots.add();
   account_slot(busy, round_query_bits_, hint);

@@ -82,7 +82,7 @@ class SampledChannel final : public PrefixChannel,
   std::uint64_t n_;
   SampledChannelConfig config_;
   rng::Xoshiro256ss gen_;
-  unsigned round_depth_ = 0;       ///< sampled d for the open PET round
+  unsigned sampled_depth_ = 0;     ///< sampled d for the open PET round
   bool round_open_ = false;
   unsigned round_query_bits_ = 32;
   std::uint64_t first_nonempty_ = 0;  ///< sampled X for the open FNEB frame

@@ -84,8 +84,9 @@ void SortedPetChannel::build_codes() {
 void SortedPetChannel::rebuild(std::uint64_t manufacturing_seed) {
   flush_obs();
   config_.manufacturing_seed = manufacturing_seed;
+  // Closing the round also retires the depth cache: no probe runs until
+  // begin_round, which resets it.
   round_open_ = false;
-  depth_valid_ = false;
   build_codes();
 }
 
@@ -165,7 +166,6 @@ void SortedPetChannel::begin_round(const RoundConfig& round) {
 // first one after it.
 void SortedPetChannel::ensure_depth() {
   if (depth_valid_) return;
-  expects(round_open_, "round_depth before begin_round");
   const unsigned height = config_.tree_height;
   const auto lcp = [height](std::uint64_t a, std::uint64_t b) noexcept {
     const std::uint64_t x = a ^ b;
@@ -191,11 +191,6 @@ void SortedPetChannel::ensure_depth() {
   depth_valid_ = true;
 }
 
-unsigned SortedPetChannel::round_depth() {
-  ensure_depth();
-  return depth_;
-}
-
 // Codes under the path's length-`len` prefix.  A prefix no longer than k
 // covers a run of whole buckets, so its population is one difference of two
 // bounds (len == 0 spans every bucket); a longer prefix lies inside the
@@ -217,23 +212,13 @@ std::size_t SortedPetChannel::count_in_range(unsigned len) const noexcept {
   return count;
 }
 
+// The busy verdict comes from the round depth (busy iff len <= d; with
+// n == 0, d == 0 and the count is 0), so idle probes are answered without
+// touching the index.  The depth is cached per round because the robust
+// vote re-reads idle probes.
 bool SortedPetChannel::query_prefix(unsigned len) {
   expects(round_open_, "query_prefix before begin_round");
   expects(len <= config_.tree_height, "query_prefix: len exceeds H");
-  const std::size_t responders = count_in_range(len);
-  account_probe(responders);
-  return responders > 0;
-}
-
-// Synthesized probe: the busy verdict comes from the round depth (busy iff
-// len <= d; with n == 0, d == 0 and the count is 0), so idle probes are
-// answered without touching the index.  The accounting call is the same one
-// query_prefix makes -- one call per probe with the same addends -- so
-// ledger totals, including the floating-point airtime sum, are
-// bit-identical.
-bool SortedPetChannel::synth_probe(unsigned len) {
-  expects(round_open_, "synth_probe before begin_round");
-  expects(len <= config_.tree_height, "synth_probe: len exceeds H");
   ensure_depth();
   const std::size_t responders = len <= depth_ ? count_in_range(len) : 0;
   account_probe(responders);

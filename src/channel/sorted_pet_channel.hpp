@@ -30,7 +30,7 @@ struct SortedPetChannelConfig {
   sim::SlotTiming timing{};
 };
 
-class SortedPetChannel final : public PrefixChannel, public DepthOracle {
+class SortedPetChannel final : public PrefixChannel {
  public:
   /// `tags` must outlive the channel if rebuild() is used: rebuild rehashes
   /// through the reference captured here (the trial-arena reuse contract).
@@ -60,10 +60,6 @@ class SortedPetChannel final : public PrefixChannel, public DepthOracle {
 
   void begin_round(const RoundConfig& round) override;
   bool query_prefix(unsigned len) override;
-
-  // DepthOracle: one bucket scan once per round, then O(1) per idle probe.
-  [[nodiscard]] unsigned round_depth() override;
-  bool synth_probe(unsigned len) override;
 
   [[nodiscard]] const sim::SlotLedger& ledger() const noexcept override {
     return ledger_;

@@ -9,65 +9,6 @@
 
 namespace pet::core {
 
-namespace {
-
-// The gray-node descent, generic over how a probe is answered.  Both the
-// probed path (PrefixChannel::query_prefix) and the oracle-synthesized path
-// (DepthOracle::synth_probe) instantiate this one template, so the two
-// necessarily issue the same probe sequence whenever the probe verdicts
-// agree -- which they do by the oracle's contract (busy iff len <= d).
-// That is the whole bit-identity argument (docs/performance.md).
-template <typename Probe>
-std::optional<unsigned> descend(unsigned h, SearchMode mode, Probe&& probe) {
-  switch (mode) {
-    case SearchMode::kLinear: {
-      // Algorithm 1: probe 1-, 2-, ... bit prefixes until the first idle
-      // slot; the depth is the last responding length.
-      for (unsigned j = 1; j <= h; ++j) {
-        if (!probe(j)) {
-          if (j == 1 && !probe(0u)) return std::nullopt;
-          return j - 1;
-        }
-      }
-      return h;
-    }
-    case SearchMode::kBinaryPaper: {
-      // Algorithm 3 verbatim: low/high over [1, H], mid = ceil((lo+hi)/2).
-      unsigned low = 1;
-      unsigned high = h;
-      while (low < high) {
-        const unsigned mid = low + (high - low + 1) / 2;
-        if (probe(mid)) {
-          low = mid;
-        } else {
-          high = mid - 1;
-        }
-      }
-      // When even the 1-bit prefix is idle the loop converges to low == 1
-      // with high == 0; the paper still reports low.  We reproduce that.
-      return low;
-    }
-    case SearchMode::kBinaryStrict: {
-      unsigned low = 0;
-      unsigned high = h;
-      while (low < high) {
-        const unsigned mid = low + (high - low + 1) / 2;  // mid >= 1
-        if (probe(mid)) {
-          low = mid;
-        } else {
-          high = mid - 1;
-        }
-      }
-      if (low == 0 && !probe(0u)) return std::nullopt;
-      return low;
-    }
-  }
-  invariant(false, "descend: unhandled SearchMode");
-  return std::nullopt;
-}
-
-}  // namespace
-
 std::string_view to_string(SearchMode mode) noexcept {
   switch (mode) {
     case SearchMode::kLinear: return "linear";
@@ -111,16 +52,55 @@ PetEstimator::PetEstimator(PetConfig config,
   config_.validate();
 }
 
+// The gray-node descent of one round (Algorithms 1 and 3).
 std::optional<unsigned> PetEstimator::run_round(
     chan::PrefixChannel& channel) const {
-  return descend(config_.tree_height, config_.search,
-                 [&channel](unsigned len) { return channel.query_prefix(len); });
-}
-
-std::optional<unsigned> PetEstimator::run_round_synth(
-    chan::DepthOracle& oracle) const {
-  return descend(config_.tree_height, config_.search,
-                 [&oracle](unsigned len) { return oracle.synth_probe(len); });
+  const unsigned h = config_.tree_height;
+  switch (config_.search) {
+    case SearchMode::kLinear: {
+      // Algorithm 1: probe 1-, 2-, ... bit prefixes until the first idle
+      // slot; the depth is the last responding length.
+      for (unsigned j = 1; j <= h; ++j) {
+        if (!channel.query_prefix(j)) {
+          if (j == 1 && !channel.query_prefix(0)) return std::nullopt;
+          return j - 1;
+        }
+      }
+      return h;
+    }
+    case SearchMode::kBinaryPaper: {
+      // Algorithm 3 verbatim: low/high over [1, H], mid = ceil((lo+hi)/2).
+      unsigned low = 1;
+      unsigned high = h;
+      while (low < high) {
+        const unsigned mid = low + (high - low + 1) / 2;
+        if (channel.query_prefix(mid)) {
+          low = mid;
+        } else {
+          high = mid - 1;
+        }
+      }
+      // When even the 1-bit prefix is idle the loop converges to low == 1
+      // with high == 0; the paper still reports low.  We reproduce that.
+      return low;
+    }
+    case SearchMode::kBinaryStrict: {
+      unsigned low = 0;
+      unsigned high = h;
+      while (low < high) {
+        const unsigned mid = low + (high - low + 1) / 2;  // mid >= 1
+        if (channel.query_prefix(mid)) {
+          low = mid;
+        } else {
+          high = mid - 1;
+        }
+      }
+      if (low == 0 && !channel.query_prefix(0)) return std::nullopt;
+      return low;
+    }
+  }
+  invariant(false, "run_round: unhandled SearchMode");
+  return std::nullopt;
 }
 
 EstimateResult PetEstimator::estimate(chan::PrefixChannel& channel,
@@ -144,11 +124,6 @@ EstimateResult PetEstimator::estimate_with_rounds(chan::PrefixChannel& channel,
   EstimateResult result;
   result.depths.reserve(rounds);
 
-  // When the back end can report the round's gray-node depth
-  // directly, synthesize the descent instead of probing it.  Identical
-  // probe sequence and ledger accounting (see descend / DepthOracle).
-  chan::DepthOracle* oracle = dynamic_cast<chan::DepthOracle*>(&channel);
-
   std::uint64_t executed = 0;
   std::uint64_t empty_rounds = 0;
   double depth_sum = 0.0;
@@ -167,7 +142,7 @@ EstimateResult PetEstimator::estimate_with_rounds(chan::PrefixChannel& channel,
                                           config_.tags_rehash,
                                           config_.begin_bits(),
                                           config_.query_bits()});
-    const auto depth = oracle ? run_round_synth(*oracle) : run_round(channel);
+    const auto depth = run_round(channel);
     ++executed;
     if (!depth.has_value()) {
       // Verifiably empty region this round: recorded as a zero depth (the

@@ -114,14 +114,6 @@ class PetEstimator {
   [[nodiscard]] std::optional<unsigned> run_round(
       chan::PrefixChannel& channel) const;
 
-  /// Fast-path twin of run_round: the same descent answered by the back
-  /// end's DepthOracle (synth_probe) instead of issued probes.  Returns the
-  /// same depth and leaves the same ledger deltas for every round (the
-  /// probe sequence is shared by construction).  Exposed for white-box
-  /// tests and bench/micro_ops.
-  [[nodiscard]] std::optional<unsigned> run_round_synth(
-      chan::DepthOracle& oracle) const;
-
  private:
   PetConfig config_;
   stats::AccuracyRequirement requirement_;

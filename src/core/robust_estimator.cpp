@@ -45,7 +45,7 @@ namespace {
 /// unreachable.  Every read after the first is a re-read charged to the
 /// inner channel's retry ledger; when the retry budget runs dry the probe
 /// degrades to its first (single) read.
-class VotingChannel : public chan::PrefixChannel {
+class VotingChannel final : public chan::PrefixChannel {
  public:
   VotingChannel(chan::PrefixChannel& inner, const RobustPetConfig& config)
       : inner_(inner), config_(config),
@@ -56,8 +56,45 @@ class VotingChannel : public chan::PrefixChannel {
   }
 
   bool query_prefix(unsigned len) override {
-    return vote(len,
-                [this](unsigned l) { return inner_.query_prefix(l); });
+    const unsigned m = config_.vote_reads;
+    const unsigned k = config_.vote_quorum;
+    const bool first_read = inner_.query_prefix(len);
+    if (m <= 1) return first_read;
+
+    unsigned busy = first_read ? 1 : 0;
+    unsigned reads = 1;
+    while (busy < k && reads - busy <= m - k) {
+      if (retry_budget_left_ == 0) {
+        // Budget dry mid-vote: fall back to the single-read verdict.
+        if (obs::counters_enabled() && !budget_exhausted_) {
+          obs::robust_instruments().budget_exhausted.add();
+        }
+        budget_exhausted_ = true;
+        return first_read;
+      }
+      --retry_budget_left_;
+      inner_.note_retries(1);
+      ++reread_slots_;
+      if (obs::counters_enabled()) {
+        obs::robust_instruments().reread_slots.add();
+      }
+      if (inner_.query_prefix(len)) ++busy;
+      ++reads;
+    }
+    const bool verdict = busy >= k;
+    if (verdict != first_read) {
+      ++overturned_probes_;
+      if (obs::counters_enabled()) {
+        obs::robust_instruments().overturned_probes.add();
+      }
+      if (obs::full_enabled()) {
+        obs::trace_event("robust.probe_overturned",
+                         {{"len", std::to_string(len)},
+                          {"busy_votes", std::to_string(busy)},
+                          {"reads", std::to_string(reads)}});
+      }
+    }
+    return verdict;
   }
 
   void note_retries(std::uint64_t slots) noexcept override {
@@ -78,89 +115,13 @@ class VotingChannel : public chan::PrefixChannel {
     return budget_exhausted_;
   }
 
- protected:
-  /// The adaptive vote loop, generic over how one read is answered so the
-  /// oracle-synthesized probe path (OracleVotingChannel) reuses it
-  /// verbatim: re-read cadence, retry charging, budget exhaustion, and
-  /// overturn detection are then identical on both paths by construction.
-  template <typename Probe>
-  bool vote(unsigned len, Probe&& probe) {
-    const unsigned m = config_.vote_reads;
-    const unsigned k = config_.vote_quorum;
-    const bool first_read = probe(len);
-    if (m <= 1) return first_read;
-
-    unsigned busy = first_read ? 1 : 0;
-    unsigned reads = 1;
-    while (busy < k && reads - busy <= m - k) {
-      if (retry_budget_left_ == 0) {
-        // Budget dry mid-vote: fall back to the single-read verdict.
-        if (obs::counters_enabled() && !budget_exhausted_) {
-          obs::robust_instruments().budget_exhausted.add();
-        }
-        budget_exhausted_ = true;
-        return first_read;
-      }
-      --retry_budget_left_;
-      inner_.note_retries(1);
-      ++reread_slots_;
-      if (obs::counters_enabled()) {
-        obs::robust_instruments().reread_slots.add();
-      }
-      if (probe(len)) ++busy;
-      ++reads;
-    }
-    const bool verdict = busy >= k;
-    if (verdict != first_read) {
-      ++overturned_probes_;
-      if (obs::counters_enabled()) {
-        obs::robust_instruments().overturned_probes.add();
-      }
-      if (obs::full_enabled()) {
-        obs::trace_event("robust.probe_overturned",
-                         {{"len", std::to_string(len)},
-                          {"busy_votes", std::to_string(busy)},
-                          {"reads", std::to_string(reads)}});
-      }
-    }
-    return verdict;
-  }
-
-  chan::PrefixChannel& inner_;
-
  private:
+  chan::PrefixChannel& inner_;
   const RobustPetConfig& config_;
   std::uint64_t retry_budget_left_;
   std::uint64_t reread_slots_ = 0;
   std::uint64_t overturned_probes_ = 0;
   bool budget_exhausted_ = false;
-};
-
-/// Voting adapter over an oracle-capable inner channel.  Exposes the
-/// DepthOracle capability itself, so the inner estimator's fast path keeps
-/// working through the voting layer: each synthesized probe runs the same
-/// k-of-m vote loop (re-reads charged to the inner ledger via synth_probe)
-/// as the probed path would.  Instantiated only when the inner channel
-/// actually has the capability -- a statically-oracle voting wrapper over a
-/// plain channel would falsely advertise it.
-class OracleVotingChannel final : public VotingChannel,
-                                  public chan::DepthOracle {
- public:
-  OracleVotingChannel(chan::PrefixChannel& inner,
-                      chan::DepthOracle& inner_oracle,
-                      const RobustPetConfig& config)
-      : VotingChannel(inner, config), oracle_(inner_oracle) {}
-
-  [[nodiscard]] unsigned round_depth() override {
-    return oracle_.round_depth();
-  }
-
-  bool synth_probe(unsigned len) override {
-    return vote(len, [this](unsigned l) { return oracle_.synth_probe(l); });
-  }
-
- private:
-  chan::DepthOracle& oracle_;
 };
 
 /// The inner estimator must not fuse with a plain (or merely
@@ -200,19 +161,11 @@ RobustEstimateResult RobustPetEstimator::estimate_with_rounds(
     const RoundGate& gate) const {
   obs::ScopedSpan span("core.robust.estimate");
   RobustEstimateResult result;
-  const auto run_voting = [&](VotingChannel& voting) {
-    result.base = inner_.estimate_with_rounds(voting, rounds, seed, gate);
-    result.reread_slots = voting.reread_slots();
-    result.overturned_probes = voting.overturned_probes();
-    result.retry_budget_exhausted = voting.budget_exhausted();
-  };
-  if (auto* inner_oracle = dynamic_cast<chan::DepthOracle*>(&channel)) {
-    OracleVotingChannel voting(channel, *inner_oracle, config_);
-    run_voting(voting);
-  } else {
-    VotingChannel voting(channel, config_);
-    run_voting(voting);
-  }
+  VotingChannel voting(channel, config_);
+  result.base = inner_.estimate_with_rounds(voting, rounds, seed, gate);
+  result.reread_slots = voting.reread_slots();
+  result.overturned_probes = voting.overturned_probes();
+  result.retry_budget_exhausted = voting.budget_exhausted();
 
   // --- Channel-health diagnostic -----------------------------------------
   ChannelDiagnostic& diag = result.diagnostic;

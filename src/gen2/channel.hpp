@@ -21,11 +21,6 @@
 // verdict and slot outcome is identical to the ideal reference — the
 // conformance harness pins this.  Impairments (loss, capture, noise,
 // outages) then act per slot through the embedded Gen2Mac.
-//
-// DepthOracle: synth_probe delegates to the same probe path as
-// query_prefix (a probe here is O(1) after begin_round, and routing both
-// through one code path keeps the fault-stream draws identical whether the
-// estimator probes or synthesizes), so the oracle is valid in every config.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +49,7 @@ struct Gen2ChannelConfig {
 
 class Gen2PrefixChannel final : public chan::PrefixChannel,
                                 public chan::RangeChannel,
-                                public chan::FrameChannel,
-                                public chan::DepthOracle {
+                                public chan::FrameChannel {
  public:
   explicit Gen2PrefixChannel(std::vector<TagId> tags,
                              Gen2ChannelConfig config = {});
@@ -70,10 +64,6 @@ class Gen2PrefixChannel final : public chan::PrefixChannel,
   void note_retries(std::uint64_t slots) noexcept override {
     mac_.note_retries(slots);
   }
-
-  // DepthOracle
-  unsigned round_depth() override;
-  bool synth_probe(unsigned len) override { return probe(len); }
 
   // RangeChannel (FNEB)
   void begin_range_frame(const chan::RangeFrameConfig& frame) override;
@@ -92,7 +82,6 @@ class Gen2PrefixChannel final : public chan::PrefixChannel,
   [[nodiscard]] const Gen2Mac& mac() const noexcept { return mac_; }
 
  private:
-  bool probe(unsigned len);
   void select_broadcast(unsigned mask_bits);
 
   std::vector<TagId> tags_;

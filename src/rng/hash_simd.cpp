@@ -14,7 +14,18 @@
 #include "rng/prng.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
+// GCC 12 flags the deliberately undefined __Y in avx512fintrin.h's
+// _mm512_undefined_* helpers as -Wmaybe-uninitialized (GCC PR 105593,
+// fixed in GCC 13).  The warning is attributed to the header, so silencing
+// it around the include leaves this file's own code checked.
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ < 13
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
+#else
+#include <immintrin.h>
+#endif
 #endif
 
 namespace pet::rng::detail {

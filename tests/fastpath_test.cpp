@@ -1,12 +1,11 @@
-// Fast-round pipeline conformance: the DepthOracle-synthesized probes,
-// batched hashing, radix sort, rebuild(), and the per-thread channel arenas
-// must be *byte-identical* to the reference paths — same EstimateResult,
-// same SlotLedger down to the floating-point airtime sum — for every
-// (n, H, seed) including the degenerate populations n = 0 and n = 1 and
-// the H = 64 prefix-range wrap (docs/performance.md).  The references are
-// picked by channel type: ExactChannel (element-wise hashing, no sort,
-// probed rounds) or a SortedPetChannel behind ProbedOnly, which hides its
-// DepthOracle so the estimators issue every probe.
+// Fast-round pipeline conformance: the prefix-bucket index with its
+// per-round depth cache, batched hashing, radix sort, rebuild(), and the
+// per-thread channel arenas must be *byte-identical* to the reference paths
+// — same EstimateResult, same SlotLedger down to the floating-point airtime
+// sum — for every (n, H, seed) including the degenerate populations n = 0
+// and n = 1 and the H = 64 prefix-range wrap (docs/performance.md).  The
+// reference is ExactChannel: element-wise hashing, no index, a fresh
+// O(n) membership scan per probe.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,29 +31,6 @@
 namespace {
 
 using namespace pet;
-
-// Forwards every PrefixChannel call but hides the inner channel's
-// DepthOracle, so an estimator over it takes the probed path.
-class ProbedOnly final : public chan::PrefixChannel {
- public:
-  explicit ProbedOnly(chan::PrefixChannel& inner) : inner_(inner) {}
-  void begin_round(const chan::RoundConfig& round) override {
-    inner_.begin_round(round);
-  }
-  bool query_prefix(unsigned len) override {
-    return inner_.query_prefix(len);
-  }
-  void note_retries(std::uint64_t slots) noexcept override {
-    inner_.note_retries(slots);
-  }
-  const sim::SlotLedger& ledger() const noexcept override {
-    return inner_.ledger();
-  }
-  void reset_ledger() noexcept override { inner_.reset_ledger(); }
-
- private:
-  chan::PrefixChannel& inner_;
-};
 
 // Bitwise double comparison: "byte-identical" includes NaN payloads and
 // signed zeros, which EXPECT_DOUBLE_EQ would blur.
@@ -93,8 +69,8 @@ constexpr core::SearchMode kModes[] = {core::SearchMode::kLinear,
                                        core::SearchMode::kBinaryStrict};
 
 // ---------------------------------------------------------------------------
-// End-to-end: oracle rounds on SortedPetChannel vs the ExactChannel
-// reference back end.
+// End-to-end: SortedPetChannel rounds vs the ExactChannel reference back
+// end.
 
 TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
   rng::SplitMix64 gen(0xfa57ull);
@@ -141,49 +117,9 @@ TEST(FastPath, MatchesExactChannelAcrossRandomCases) {
   }
 }
 
-TEST(FastPath, FastAndSlowSortedChannelBitIdentical) {
-  rng::SplitMix64 gen(0x50f7ull);
-  const std::size_t sizes[] = {0, 1, 5, 64, 1023, 4096};
-  const unsigned heights[] = {4, 16, 32, 64};
-
-  for (int c = 0; c < 30; ++c) {
-    const std::size_t n = sizes[gen() % std::size(sizes)];
-    const unsigned height = heights[gen() % std::size(heights)];
-    const core::SearchMode mode = kModes[c % 3];
-    const std::uint64_t manufacturing_seed = gen();
-    const std::uint64_t estimate_seed = gen();
-    const std::uint64_t rounds = 1 + gen() % 20;
-    SCOPED_TRACE(testing::Message()
-                 << "case " << c << ": n=" << n << " H=" << height
-                 << " mode=" << to_string(mode));
-
-    core::PetConfig config;
-    config.tree_height = height;
-    config.search = mode;
-    const core::PetEstimator estimator(config, {0.05, 0.01});
-    const auto ids = make_ids(n, 0xface5ULL + static_cast<std::uint64_t>(c));
-    chan::SortedPetChannelConfig sorted_config;
-    sorted_config.tree_height = height;
-    sorted_config.manufacturing_seed = manufacturing_seed;
-
-    core::EstimateResult slow;
-    {
-      chan::SortedPetChannel channel(ids, sorted_config);
-      ProbedOnly probed(channel);
-      slow = estimator.estimate_with_rounds(probed, rounds, estimate_seed);
-    }
-    core::EstimateResult fast;
-    {
-      chan::SortedPetChannel channel(ids, sorted_config);
-      fast = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
-    }
-    expect_result_identical(fast, slow);
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Robust estimator: voting re-reads must charge retry_slots identically
-// whether probes are issued or synthesized through the oracle.
+// Robust estimator: the vote's re-reads, overturns, budget exhaustion and
+// retry_slots charges over the index must match the ExactChannel reference.
 
 TEST(FastPath, RobustVotingParityIncludingRetryAccounting) {
   rng::SplitMix64 gen(0x0b57ull);
@@ -213,20 +149,20 @@ TEST(FastPath, RobustVotingParityIncludingRetryAccounting) {
     config.retry_budget_slots = test_case.retry_budget;
     const core::RobustPetEstimator estimator(config, {0.05, 0.01});
     const auto ids = make_ids(test_case.n, 0x0b57e11ULL);
-    chan::SortedPetChannelConfig sorted_config;
-    sorted_config.tree_height = test_case.height;
-    sorted_config.manufacturing_seed = manufacturing_seed;
 
-    // ProbedOnly sends the robust estimator through VotingChannel; the
-    // bare channel through OracleVotingChannel.
     core::RobustEstimateResult slow;
     {
-      chan::SortedPetChannel channel(ids, sorted_config);
-      ProbedOnly probed(channel);
-      slow = estimator.estimate_with_rounds(probed, rounds, estimate_seed);
+      chan::ExactChannelConfig exact_config;
+      exact_config.tree_height = test_case.height;
+      exact_config.manufacturing_seed = manufacturing_seed;
+      chan::ExactChannel channel(ids, exact_config);
+      slow = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
     }
     core::RobustEstimateResult fast;
     {
+      chan::SortedPetChannelConfig sorted_config;
+      sorted_config.tree_height = test_case.height;
+      sorted_config.manufacturing_seed = manufacturing_seed;
       chan::SortedPetChannel channel(ids, sorted_config);
       fast = estimator.estimate_with_rounds(channel, rounds, estimate_seed);
     }
@@ -240,91 +176,6 @@ TEST(FastPath, RobustVotingParityIncludingRetryAccounting) {
     EXPECT_EQ(bits(fast.diagnostic.ks_distance),
               bits(slow.diagnostic.ks_distance));
     EXPECT_EQ(fast.diagnostic.health, slow.diagnostic.health);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// DepthOracle unit behaviour.
-
-TEST(FastPath, RoundDepthMatchesBruteForceMaxLcp) {
-  rng::SplitMix64 gen(0xdeb7ull);
-  const std::size_t sizes[] = {0, 1, 2, 33, 1000};
-  const unsigned heights[] = {8, 32, 64};
-
-  for (int c = 0; c < 60; ++c) {
-    const std::size_t n = sizes[gen() % std::size(sizes)];
-    const unsigned height = heights[gen() % std::size(heights)];
-    const std::uint64_t manufacturing_seed = gen();
-    const auto ids = make_ids(n, 0x1c9ULL + static_cast<std::uint64_t>(c));
-    chan::SortedPetChannelConfig config;
-    config.tree_height = height;
-    config.manufacturing_seed = manufacturing_seed;
-    chan::SortedPetChannel channel(ids, config);
-
-    // Random paths, plus the all-ones path that exercises the H = 64 wrap.
-    std::uint64_t path_value = rng::uniform64(rng::HashKind::kMix64, gen(), 1);
-    if (height < 64) path_value >>= (64 - height);
-    if (c % 5 == 0) {
-      path_value = (height == 64) ? ~std::uint64_t{0}
-                                  : (std::uint64_t{1} << height) - 1;
-    }
-    channel.begin_round(chan::RoundConfig{BitCode(path_value, height), 0,
-                                          false, height, height});
-
-    unsigned want = 0;
-    for (const TagId id : ids) {
-      const std::uint64_t code =
-          rng::uniform_code(rng::HashKind::kMix64, manufacturing_seed, id,
-                            height)
-              .value();
-      const std::uint64_t diff = code ^ path_value;
-      const unsigned lcp =
-          diff == 0 ? height
-                    : static_cast<unsigned>(std::countl_zero(diff)) -
-                          (64 - height);
-      want = std::max(want, lcp);
-    }
-    SCOPED_TRACE(testing::Message() << "n=" << n << " H=" << height
-                                    << " path=" << path_value);
-    EXPECT_EQ(channel.round_depth(), want);
-  }
-}
-
-TEST(FastPath, SynthProbeMatchesQueryPrefixProbeForProbe) {
-  rng::SplitMix64 gen(0x9e0bull);
-  const std::size_t sizes[] = {0, 1, 2, 100, 2048};
-  const unsigned heights[] = {1, 8, 32, 64};
-
-  for (int c = 0; c < 40; ++c) {
-    const std::size_t n = sizes[gen() % std::size(sizes)];
-    const unsigned height = heights[gen() % std::size(heights)];
-    const std::uint64_t manufacturing_seed = gen();
-    const auto ids = make_ids(n, 0xa11ULL + static_cast<std::uint64_t>(c));
-    chan::SortedPetChannelConfig config;
-    config.tree_height = height;
-    config.manufacturing_seed = manufacturing_seed;
-    chan::SortedPetChannel probed(ids, config);
-    chan::SortedPetChannel synthesized(ids, config);
-
-    std::uint64_t path_value = rng::uniform64(rng::HashKind::kMix64, gen(), 1);
-    if (height < 64) path_value >>= (64 - height);
-    if (c % 4 == 0) {
-      // All-ones path: every prefix range [lo, lo + 2^(H-len)) at H = 64
-      // reaches the top of the code space, exercising the hi == 0 wrap.
-      path_value = (height == 64) ? ~std::uint64_t{0}
-                                  : (std::uint64_t{1} << height) - 1;
-    }
-    const chan::RoundConfig round{BitCode(path_value, height), 0, false,
-                                  height, height};
-    probed.begin_round(round);
-    synthesized.begin_round(round);
-    SCOPED_TRACE(testing::Message() << "n=" << n << " H=" << height
-                                    << " path=" << path_value);
-    for (unsigned len = 0; len <= height; ++len) {
-      EXPECT_EQ(synthesized.synth_probe(len), probed.query_prefix(len))
-          << "len=" << len;
-    }
-    expect_ledger_identical(synthesized.ledger(), probed.ledger());
   }
 }
 
@@ -460,11 +311,11 @@ TEST(FastPath, SampledChannelArenaMatchesFreshChannels) {
 // (scripts/check_repro.sh claim 6).
 
 // Every (m, run) trial of `table3_pet_slots --quick` at its default seed,
-// built as bench::run_pet builds it: an arena SortedPetChannel with oracle
-// rounds.  Each must equal a fresh ExactChannel bit for bit, ledger and
-// airtime sum included.  The reference differs from production in every
-// layer: element-wise hashing, no sort, a fresh channel per trial, probed
-// rounds.  Trials are spread over a trial runner, as the bench spreads them.
+// built as bench::run_pet builds it: an arena SortedPetChannel.  Each must
+// equal a fresh ExactChannel bit for bit, ledger and airtime sum included.
+// The reference differs from production in every layer: element-wise
+// hashing, no index, a fresh channel per trial, a membership scan per
+// probe.  Trials are spread over a trial runner, as the bench spreads them.
 TEST(FastPath, Table3QuickGridMatchesExactChannel) {
   constexpr std::uint64_t kTags = 50000;  // bench/table3_pet_slots.cpp
   constexpr std::uint64_t kRuns = 30;     // --quick

@@ -233,14 +233,48 @@ TEST(ParallelBuild, PrefixPartitionRejectsBadShapes) {
                PreconditionError);
 }
 
+struct Reference {
+  std::uint64_t path;
+  unsigned depth = 0;                // max lcp(code, path)
+  std::vector<std::uint64_t> count;  // responders per len
+};
+
+// Brute force over sorted codes: the max lcp, and each prefix's population
+// as the distance between two lower bounds.
+Reference reference_for(const std::vector<std::uint64_t>& codes,
+                        unsigned height, std::uint64_t path) {
+  Reference ref{path, 0, std::vector<std::uint64_t>(height + 1)};
+  for (const std::uint64_t code : codes) {
+    const std::uint64_t x = code ^ path;
+    ref.depth = std::max(
+        ref.depth, x == 0 ? height
+                          : static_cast<unsigned>(std::countl_zero(x)) -
+                                (64 - height));
+  }
+  for (unsigned len = 0; len <= height; ++len) {
+    const unsigned shift = height - len;
+    const std::uint64_t lo = len == 0 ? 0 : (path >> shift) << shift;
+    const std::uint64_t hi = len == 0 ? 0 : lo + (std::uint64_t{1} << shift);
+    const auto first = std::lower_bound(codes.begin(), codes.end(), lo);
+    const auto last =
+        hi == 0 ? codes.end() : std::lower_bound(first, codes.end(), hi);
+    ref.count[len] = static_cast<std::uint64_t>(last - first);
+  }
+  return ref;
+}
+
 // The channel's index answers every query the way a sorted reference does:
-// round_depth() and the responder count of query_prefix / synth_probe (read
-// off the ledger's tag_bits) at every len in 0..H.  Covers widths from 1 to
-// 64, n from 0 to 5e4, duplicate codes (H <= 2), the extreme codes 0 and
-// 2^H - 1, a path equal to a code (d = H), the all-ones prefix at H = 64
-// (where the sorted reference's upper bound wraps to 0), and build workers
-// 1/2/8 (5e4 codes engage the chunked partition).
+// the responder count of query_prefix (read off the ledger's tag_bits) at
+// every len in 0..H, so the deepest busy probe is the brute-force max lcp.
+// Covers widths from 1 to 64, n from 0 to 5e4, duplicate codes (H <= 2),
+// the extreme codes 0 and 2^H - 1, a path equal to a code (d = H), the
+// all-ones prefix at H = 64 (where the sorted reference's upper bound wraps
+// to 0), and build workers 1/2/8 (5e4 codes engage the chunked partition).
+// The per-round depth cache must never go stale: one channel opens the
+// paths back to back, probes every other round deepest-first, and is
+// rebuilt under a new seed between two rounds on the same path.
 TEST(PrefixIndex, AnswersMatchSortedReference) {
+  constexpr std::uint64_t kRekeySeed = 0x2e5eedULL;
   const unsigned heights[] = {1, 2, 7, 13, 16, 17, 32, 64};
   const std::size_t sizes[] = {0, 1, 2, 3, 2000, 50000};
   const std::uint64_t seed = 0x1dea5eedULL;
@@ -284,35 +318,23 @@ TEST(PrefixIndex, AnswersMatchSortedReference) {
         paths.push_back(codes.front() ^ 1);
       }
 
-      struct Reference {
-        std::uint64_t path;
-        unsigned depth = 0;
-        std::vector<std::uint64_t> count;  // responders per len
-      };
       std::vector<Reference> refs;
       for (const std::uint64_t path : paths) {
-        Reference ref{path, 0, std::vector<std::uint64_t>(height + 1)};
-        for (const std::uint64_t code : codes) {
-          const std::uint64_t x = code ^ path;
-          ref.depth = std::max(
-              ref.depth, x == 0 ? height
-                                : static_cast<unsigned>(std::countl_zero(x)) -
-                                      (64 - height));
+        refs.push_back(reference_for(codes, height, path));
+        if (n > 0 && path == codes[n / 2]) {
+          ASSERT_EQ(refs.back().depth, height);
         }
-        for (unsigned len = 0; len <= height; ++len) {
-          const unsigned shift = height - len;
-          const std::uint64_t lo = len == 0 ? 0 : (path >> shift) << shift;
-          const std::uint64_t hi =
-              len == 0 ? 0 : lo + (std::uint64_t{1} << shift);
-          const auto first = std::lower_bound(codes.begin(), codes.end(), lo);
-          const auto last = hi == 0
-                                ? codes.end()
-                                : std::lower_bound(first, codes.end(), hi);
-          ref.count[len] = static_cast<std::uint64_t>(last - first);
-        }
-        if (n > 0 && path == codes[n / 2]) ASSERT_EQ(ref.depth, height);
-        refs.push_back(std::move(ref));
       }
+      // The same ids under a second manufacturing seed, for the rebuild.
+      std::vector<std::uint64_t> rekeyed;
+      for (const TagId id : ids) {
+        rekeyed.push_back(rng::uniform_code(rng::HashKind::kMix64, kRekeySeed,
+                                            id, height)
+                              .value());
+      }
+      std::sort(rekeyed.begin(), rekeyed.end());
+      const Reference rekeyed_ref =
+          reference_for(rekeyed, height, refs.back().path);
 
       for (const unsigned workers : {1u, 2u, 8u}) {
         BuildParallelismGuard guard(workers);
@@ -320,23 +342,32 @@ TEST(PrefixIndex, AnswersMatchSortedReference) {
         config.tree_height = height;
         config.manufacturing_seed = seed;
         chan::SortedPetChannel channel(ids, config);
-        for (const Reference& ref : refs) {
+        const auto check_round = [&](const Reference& ref, bool descending) {
           SCOPED_TRACE(testing::Message()
                        << "H=" << height << " n=" << n << " path="
-                       << ref.path << " workers=" << workers);
+                       << ref.path << " workers=" << workers
+                       << (descending ? " descending" : " ascending"));
           channel.begin_round(chan::RoundConfig{BitCode(ref.path, height)});
-          ASSERT_EQ(channel.round_depth(), ref.depth);
-          for (unsigned len = 0; len <= height; ++len) {
-            std::uint64_t before = channel.ledger().tag_bits;
-            EXPECT_EQ(channel.query_prefix(len), ref.count[len] > 0);
+          unsigned depth = 0;  // deepest busy probe
+          for (unsigned i = 0; i <= height; ++i) {
+            const unsigned len = descending ? height - i : i;
+            const std::uint64_t before = channel.ledger().tag_bits;
+            const bool busy = channel.query_prefix(len);
+            EXPECT_EQ(busy, ref.count[len] > 0) << "len=" << len;
             EXPECT_EQ(channel.ledger().tag_bits - before, ref.count[len])
-                << "query_prefix len=" << len;
-            before = channel.ledger().tag_bits;
-            EXPECT_EQ(channel.synth_probe(len), ref.count[len] > 0);
-            EXPECT_EQ(channel.ledger().tag_bits - before, ref.count[len])
-                << "synth_probe len=" << len;
+                << "len=" << len;
+            if (busy) depth = std::max(depth, len);
           }
+          EXPECT_EQ(depth, ref.depth);
+        };
+        for (std::size_t r = 0; r < refs.size(); ++r) {
+          check_round(refs[r], r % 2 == 1);
         }
+        channel.rebuild(kRekeySeed);
+        EXPECT_THROW(channel.query_prefix(0), PreconditionError);
+        check_round(rekeyed_ref, false);
+        channel.rebuild(seed);
+        check_round(refs.back(), true);
       }
     }
   }

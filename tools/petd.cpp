@@ -5,14 +5,15 @@
 // error frames, degrade gracefully under deadlines, and shut down cleanly
 // on SIGINT/SIGTERM (drain in-flight requests, close connections, unlink
 // the socket, exit 0).  Thread model: one acceptor + one thread per
-// connection for framing; estimation itself runs on the service's
-// pet::runtime pool, so slow estimates never block a connection's control
-// frames behind another connection.
+// connection for framing, joined by the acceptor once it ends; estimation
+// itself runs on the service's pet::runtime pool, so slow estimates never
+// block a connection's control frames behind another connection.
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <csignal>
 #include <cstdint>
@@ -20,9 +21,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
+#include <list>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -296,9 +298,21 @@ int main(int argc, char** argv) {
                  options.service.cache_entries);
   }
 
-  std::vector<std::thread> sessions;
-  std::mutex sessions_mutex;
+  // One entry per live session.  A session flags `done` as its last act;
+  // the accept loop joins flagged ones every tick, so an exited thread's
+  // stack is unmapped within ~200 ms instead of at shutdown.  Only this
+  // thread touches the list, and list nodes never move under a session.
+  struct Session {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Session> sessions;
   while (!runtime::shutdown_requested()) {
+    std::erase_if(sessions, [](Session& session) {
+      if (!session.done) return false;
+      session.thread.join();
+      return true;
+    });
     if (g_prom_dump_requested) {
       g_prom_dump_requested = 0;
       dump_prometheus(options);
@@ -308,11 +322,21 @@ int main(int argc, char** argv) {
     if (ready <= 0) continue;  // timeout, EINTR, or spurious wake: recheck
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) continue;
-    std::lock_guard lock(sessions_mutex);
-    sessions.emplace_back(
-        [fd, &service, quiet = options.quiet] {
-          serve_connection(fd, service, quiet);
-        });
+    Session& session = sessions.emplace_back();
+    try {
+      session.thread = std::thread(
+          [fd, &service, &done = session.done, quiet = options.quiet] {
+            serve_connection(fd, service, quiet);
+            done = true;
+          });
+    } catch (const std::system_error& e) {
+      // Out of threads (or memory for a stack): refuse this peer, keep
+      // serving the others.
+      sessions.pop_back();
+      ::close(fd);
+      std::fprintf(stderr, "petd: cannot start a session thread: %s\n",
+                   e.what());
+    }
   }
 
   // Graceful drain: refuse new work, let connection loops notice the latch
@@ -320,10 +344,7 @@ int main(int argc, char** argv) {
   if (!options.quiet) std::fprintf(stderr, "petd: draining\n");
   service.begin_shutdown();
   ::close(listen_fd);
-  {
-    std::lock_guard lock(sessions_mutex);
-    for (std::thread& session : sessions) session.join();
-  }
+  for (Session& session : sessions) session.thread.join();
   ::unlink(options.socket_path.c_str());
   dump_prometheus(options);  // final exposition reflects the drained totals
   if (!options.quiet) {

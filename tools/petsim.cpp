@@ -98,7 +98,9 @@ Args parse_args(int argc, char** argv, int first) {
     }
     const char* eq = std::strchr(arg, '=');
     if (eq == nullptr) {
-      args.kv[arg + 2] = "1";
+      // Move-assigned, not assigned from the literal: GCC 12 flags that
+      // assign() with a false -Wrestrict (GCC PR 105329).
+      args.kv[arg + 2] = std::string("1");
     } else {
       args.kv[std::string(arg + 2, eq)] = eq + 1;
     }
