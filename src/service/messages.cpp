@@ -1,6 +1,6 @@
 #include "service/messages.hpp"
 
-#include <cstring>
+#include <bit>
 
 namespace pet::svc {
 
@@ -17,318 +17,308 @@ std::string_view to_string(CommandId command) noexcept {
   return "unknown";
 }
 
-// --- WireWriter ------------------------------------------------------------
-
-void WireWriter::u8(std::uint8_t v) { out_.push_back(v); }
-
-void WireWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v & 0xFF));
-  u8(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-}
-
-void WireWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v & 0xFFFF));
-  u16(static_cast<std::uint16_t>((v >> 16) & 0xFFFF));
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v & 0xFFFFFFFFu));
-  u32(static_cast<std::uint32_t>((v >> 32) & 0xFFFFFFFFu));
-}
-
-void WireWriter::f64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
-// --- WireReader ------------------------------------------------------------
-
-bool WireReader::take(std::size_t n) noexcept {
-  if (!ok_ || size_ - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t WireReader::u8() noexcept {
-  if (!take(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint16_t WireReader::u16() noexcept {
-  if (!take(2)) return 0;
-  const std::uint16_t v = static_cast<std::uint16_t>(
-      data_[pos_] | (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t WireReader::u32() noexcept {
-  const std::uint32_t lo = u16();
-  const std::uint32_t hi = u16();
-  return lo | (hi << 16);
-}
-
-std::uint64_t WireReader::u64() noexcept {
-  const std::uint64_t lo = u32();
-  const std::uint64_t hi = u32();
-  return lo | (hi << 32);
-}
-
-double WireReader::f64() noexcept {
-  const std::uint64_t bits = u64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-// --- encode ----------------------------------------------------------------
-
-std::vector<std::uint8_t> encode(const RegisterRequest& msg) {
-  WireWriter w;
-  w.u64(msg.population_id);
-  w.u64(msg.tag_count);
-  w.u64(msg.population_seed);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode(const RegisterReply& msg) {
-  WireWriter w;
-  w.u64(msg.population_id);
-  w.u64(msg.tag_count);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode(const UnregisterRequest& msg) {
-  WireWriter w;
-  w.u64(msg.population_id);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode(const EstimateRequest& msg) {
-  WireWriter w;
-  w.u64(msg.population_id);
-  w.u64(msg.seed);
-  w.f64(msg.epsilon);
-  w.f64(msg.delta);
-  w.u64(msg.deadline_slots);
-  w.u8(msg.robust);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode(const EstimateReply& msg) {
-  WireWriter w;
-  w.u64(msg.population_id);
-  w.f64(msg.n_hat);
-  w.f64(msg.ci_lo);
-  w.f64(msg.ci_hi);
-  w.u64(msg.rounds);
-  w.u64(msg.planned_rounds);
-  w.u64(msg.query_slots);
-  w.u32(msg.retries);
-  w.u64(msg.backoff_slots);
-  w.u8(msg.degraded);
-  w.u8(msg.truncated);
-  w.u8(msg.health);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode(const MonitorReply& msg) {
-  WireWriter w;
-  w.u64(msg.populations);
-  w.u64(msg.inflight);
-  w.u64(msg.accepted);
-  w.u64(msg.completed);
-  w.u64(msg.shed);
-  w.u64(msg.degraded);
-  w.u64(msg.deadline_misses);
-  w.u64(msg.retries);
-  w.u64(msg.malformed_frames);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode(const MetricsRequest& msg) {
-  WireWriter w;
-  w.u8(msg.scope);
-  w.u64(msg.population_id);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode(const FlightDumpRequest& msg) {
-  WireWriter w;
-  w.u64(msg.request_id);
-  w.u32(msg.max_records);
-  return w.take();
-}
-
-std::vector<std::uint8_t> encode(const FlightDumpReply& msg) {
-  WireWriter w;
-  w.u32(static_cast<std::uint32_t>(msg.records.size()));
-  for (const RequestRecord& rec : msg.records) {
-    w.u64(rec.request_id);
-    w.u64(rec.population_id);
-    w.u16(rec.command);
-    w.u16(rec.status);
-    w.u32(rec.degrade_mask);
-    w.u64(rec.planned_rounds);
-    w.u64(rec.rounds);
-    w.u32(rec.retries);
-    w.u64(rec.backoff_slots);
-    w.u64(rec.query_slots);
-    w.u64(rec.latency_slots);
-    w.u64(rec.queue_us);
-    w.u64(rec.handle_us);
-    w.u16(rec.shard);
-    w.u8(rec.cache_hit != 0 ? std::uint8_t{1} : std::uint8_t{0});
-    w.u8(0);  // reserved (keeps the record u32-aligned for future flags)
-  }
-  return w.take();
-}
-
-// --- parse -----------------------------------------------------------------
-
 namespace {
 
-/// Shared tail check: the message parsed AND consumed the payload exactly.
-template <typename T>
-std::optional<T> finish(const WireReader& r, const T& msg) {
+// --- primitive wire I/O ----------------------------------------------------
+// One overload per primitive on each side, so a message's field list reads
+// and writes through the same calls.
+
+class WireWriter {
+ public:
+  void operator()(std::uint8_t v) { put(v, 1); }
+  void operator()(std::uint16_t v) { put(v, 2); }
+  void operator()(std::uint32_t v) { put(v, 4); }
+  void operator()(std::uint64_t v) { put(v, 8); }
+  void operator()(double v) { put(std::bit_cast<std::uint64_t>(v), 8); }
+
+  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
+
+ private:
+  void put(std::uint64_t v, std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
+  std::vector<std::uint8_t> out_;
+};
+
+/// Cursor over a payload.  A read past the end trips the reader for good
+/// and yields zero, so a parse reads every field unconditionally and checks
+/// exhausted() once at the end.
+class WireReader {
+ public:
+  explicit WireReader(const std::vector<std::uint8_t>& payload) noexcept
+      : data_(payload.data()), size_(payload.size()) {}
+
+  void operator()(std::uint8_t& v) noexcept { v = get<std::uint8_t>(); }
+  void operator()(std::uint16_t& v) noexcept { v = get<std::uint16_t>(); }
+  void operator()(std::uint32_t& v) noexcept { v = get<std::uint32_t>(); }
+  void operator()(std::uint64_t& v) noexcept { v = get<std::uint64_t>(); }
+  void operator()(double& v) noexcept {
+    v = std::bit_cast<double>(get<std::uint64_t>());
+  }
+
+  /// True iff every read fit and every payload byte was consumed.
+  [[nodiscard]] bool exhausted() const noexcept {
+    return ok_ && pos_ == size_;
+  }
+
+ private:
+  /// The next sizeof(T) payload bytes as a little-endian T.
+  template <class T>
+  [[nodiscard]] T get() noexcept {
+    if (!ok_ || size_ - pos_ < sizeof(T)) {
+      ok_ = false;
+      return 0;
+    }
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+    }
+    pos_ += sizeof(T);
+    return static_cast<T>(v);
+  }
+
+  const std::uint8_t* data_;
+  std::size_t size_;
+  std::size_t pos_ = 0;
+  bool ok_ = true;
+};
+
+/// Counts the bytes a field list occupies on the wire.
+struct WireSize {
+  std::size_t bytes = 0;
+  template <class T>
+  constexpr void operator()(const T&) noexcept {
+    bytes += sizeof(T);
+  }
+};
+
+// --- field lists -----------------------------------------------------------
+// Each payload layout, stated once: the wire order is the call order.
+// Growing a payload means editing its list (and the protocol version).
+
+template <class IO>
+void fields(IO& io, RegisterRequest& m) {
+  io(m.population_id);
+  io(m.tag_count);
+  io(m.population_seed);
+}
+
+template <class IO>
+void fields(IO& io, RegisterReply& m) {
+  io(m.population_id);
+  io(m.tag_count);
+}
+
+template <class IO>
+void fields(IO& io, UnregisterRequest& m) {
+  io(m.population_id);
+}
+
+template <class IO>
+void fields(IO& io, EstimateRequest& m) {
+  io(m.population_id);
+  io(m.seed);
+  io(m.epsilon);
+  io(m.delta);
+  io(m.deadline_slots);
+  io(m.robust);
+}
+
+template <class IO>
+void fields(IO& io, EstimateReply& m) {
+  io(m.population_id);
+  io(m.n_hat);
+  io(m.ci_lo);
+  io(m.ci_hi);
+  io(m.rounds);
+  io(m.planned_rounds);
+  io(m.query_slots);
+  io(m.retries);
+  io(m.backoff_slots);
+  io(m.degraded);
+  io(m.truncated);
+  io(m.health);
+}
+
+template <class IO>
+void fields(IO& io, MonitorReply& m) {
+  io(m.populations);
+  io(m.inflight);
+  io(m.accepted);
+  io(m.completed);
+  io(m.shed);
+  io(m.degraded);
+  io(m.deadline_misses);
+  io(m.retries);
+  io(m.malformed_frames);
+}
+
+template <class IO>
+void fields(IO& io, MetricsRequest& m) {
+  io(m.scope);
+  io(m.population_id);
+}
+
+template <class IO>
+void fields(IO& io, FlightDumpRequest& m) {
+  io(m.request_id);
+  io(m.max_records);
+}
+
+template <class IO>
+constexpr void fields(IO& io, RequestRecord& m) {
+  io(m.request_id);
+  io(m.population_id);
+  io(m.command);
+  io(m.status);
+  io(m.degrade_mask);
+  io(m.planned_rounds);
+  io(m.rounds);
+  io(m.retries);
+  io(m.backoff_slots);
+  io(m.query_slots);
+  io(m.latency_slots);
+  io(m.queue_us);
+  io(m.handle_us);
+  io(m.shard);
+  // v1.2 flags byte (bit 0 = cache hit), then a reserved zero byte that
+  // keeps the record u32-aligned for future flags.
+  std::uint8_t flags = m.cache_hit != 0 ? 1 : 0;
+  std::uint8_t reserved = 0;
+  io(flags);
+  io(reserved);
+  m.cache_hit = flags & 1;
+}
+
+constexpr std::size_t kRecordWireBytes = [] {
+  WireSize size;
+  RequestRecord record;
+  fields(size, record);
+  return size.bytes;
+}();
+
+/// Encode through the field list.  `msg` is a copy because one list serves
+/// both directions and so takes a mutable reference.
+template <class M>
+std::vector<std::uint8_t> encode_fields(M msg) {
+  WireWriter w;
+  fields(w, msg);
+  return w.take();
+}
+
+/// Parse through the field list: the message must consume the payload
+/// exactly.
+template <class M>
+std::optional<M> parse_fields(const std::vector<std::uint8_t>& payload) {
+  WireReader r(payload);
+  M msg;
+  fields(r, msg);
   if (!r.exhausted()) return std::nullopt;
   return msg;
 }
 
 }  // namespace
 
+// --- encode ----------------------------------------------------------------
+
+std::vector<std::uint8_t> encode(const RegisterRequest& msg) {
+  return encode_fields(msg);
+}
+std::vector<std::uint8_t> encode(const RegisterReply& msg) {
+  return encode_fields(msg);
+}
+std::vector<std::uint8_t> encode(const UnregisterRequest& msg) {
+  return encode_fields(msg);
+}
+std::vector<std::uint8_t> encode(const EstimateRequest& msg) {
+  return encode_fields(msg);
+}
+std::vector<std::uint8_t> encode(const EstimateReply& msg) {
+  return encode_fields(msg);
+}
+std::vector<std::uint8_t> encode(const MonitorReply& msg) {
+  return encode_fields(msg);
+}
+std::vector<std::uint8_t> encode(const MetricsRequest& msg) {
+  return encode_fields(msg);
+}
+std::vector<std::uint8_t> encode(const FlightDumpRequest& msg) {
+  return encode_fields(msg);
+}
+
+std::vector<std::uint8_t> encode(const FlightDumpReply& msg) {
+  WireWriter w;
+  w(static_cast<std::uint32_t>(msg.records.size()));
+  for (RequestRecord record : msg.records) fields(w, record);
+  return w.take();
+}
+
+// --- parse -----------------------------------------------------------------
+
 std::optional<RegisterRequest> parse_register_request(
     const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  RegisterRequest msg;
-  msg.population_id = r.u64();
-  msg.tag_count = r.u64();
-  msg.population_seed = r.u64();
-  return finish(r, msg);
+  return parse_fields<RegisterRequest>(payload);
 }
 
 std::optional<RegisterReply> parse_register_reply(
     const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  RegisterReply msg;
-  msg.population_id = r.u64();
-  msg.tag_count = r.u64();
-  return finish(r, msg);
+  return parse_fields<RegisterReply>(payload);
 }
 
 std::optional<UnregisterRequest> parse_unregister_request(
     const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  UnregisterRequest msg;
-  msg.population_id = r.u64();
-  return finish(r, msg);
+  return parse_fields<UnregisterRequest>(payload);
 }
 
 std::optional<EstimateRequest> parse_estimate_request(
     const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  EstimateRequest msg;
-  msg.population_id = r.u64();
-  msg.seed = r.u64();
-  msg.epsilon = r.f64();
-  msg.delta = r.f64();
-  msg.deadline_slots = r.u64();
-  msg.robust = r.u8();
-  return finish(r, msg);
+  return parse_fields<EstimateRequest>(payload);
 }
 
 std::optional<EstimateReply> parse_estimate_reply(
     const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  EstimateReply msg;
-  msg.population_id = r.u64();
-  msg.n_hat = r.f64();
-  msg.ci_lo = r.f64();
-  msg.ci_hi = r.f64();
-  msg.rounds = r.u64();
-  msg.planned_rounds = r.u64();
-  msg.query_slots = r.u64();
-  msg.retries = r.u32();
-  msg.backoff_slots = r.u64();
-  msg.degraded = r.u8();
-  msg.truncated = r.u8();
-  msg.health = r.u8();
-  return finish(r, msg);
+  return parse_fields<EstimateReply>(payload);
 }
 
 std::optional<MonitorReply> parse_monitor_reply(
     const std::vector<std::uint8_t>& payload) {
-  WireReader r(payload);
-  MonitorReply msg;
-  msg.populations = r.u64();
-  msg.inflight = r.u64();
-  msg.accepted = r.u64();
-  msg.completed = r.u64();
-  msg.shed = r.u64();
-  msg.degraded = r.u64();
-  msg.deadline_misses = r.u64();
-  msg.retries = r.u64();
-  msg.malformed_frames = r.u64();
-  return finish(r, msg);
+  return parse_fields<MonitorReply>(payload);
 }
 
+// An empty payload is the v1.1 shorthand for the defaults (kMetrics: the
+// full snapshot; kFlightDump: every record), so monitor-style callers need
+// not build a body.
 std::optional<MetricsRequest> parse_metrics_request(
     const std::vector<std::uint8_t>& payload) {
-  // An empty payload is the v1.1 shorthand for "full snapshot" so monitor-
-  // style callers don't need to build a body.
   if (payload.empty()) return MetricsRequest{};
-  WireReader r(payload);
-  MetricsRequest msg;
-  msg.scope = r.u8();
-  msg.population_id = r.u64();
-  return finish(r, msg);
+  return parse_fields<MetricsRequest>(payload);
 }
 
 std::optional<FlightDumpRequest> parse_flight_dump_request(
     const std::vector<std::uint8_t>& payload) {
   if (payload.empty()) return FlightDumpRequest{};
-  WireReader r(payload);
-  FlightDumpRequest msg;
-  msg.request_id = r.u64();
-  msg.max_records = r.u32();
-  return finish(r, msg);
+  return parse_fields<FlightDumpRequest>(payload);
 }
 
 std::optional<FlightDumpReply> parse_flight_dump_reply(
     const std::vector<std::uint8_t>& payload) {
   WireReader r(payload);
-  FlightDumpReply msg;
-  const std::uint32_t count = r.u32();
-  // Record size is fixed (88 bytes), so a hostile count field is caught
-  // before reserving: the payload must be exactly 4 + 88 * count bytes.
-  if (payload.size() != 4 + static_cast<std::size_t>(count) * 88) {
+  std::uint32_t count = 0;
+  r(count);
+  // Records are fixed-size, so a hostile count field is caught before
+  // reserving: the payload must hold exactly `count` records.
+  if (payload.size() !=
+      sizeof(count) + static_cast<std::size_t>(count) * kRecordWireBytes) {
     return std::nullopt;
   }
-  msg.records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    RequestRecord rec;
-    rec.request_id = r.u64();
-    rec.population_id = r.u64();
-    rec.command = r.u16();
-    rec.status = r.u16();
-    rec.degrade_mask = r.u32();
-    rec.planned_rounds = r.u64();
-    rec.rounds = r.u64();
-    rec.retries = r.u32();
-    rec.backoff_slots = r.u64();
-    rec.query_slots = r.u64();
-    rec.latency_slots = r.u64();
-    rec.queue_us = r.u64();
-    rec.handle_us = r.u64();
-    rec.shard = r.u16();
-    rec.cache_hit = r.u8() & 1;
-    (void)r.u8();  // reserved
-    msg.records.push_back(rec);
-  }
-  return finish(r, msg);
+  FlightDumpReply msg;
+  msg.records.resize(count);
+  for (RequestRecord& record : msg.records) fields(r, record);
+  if (!r.exhausted()) return std::nullopt;
+  return msg;
 }
 
 // --- frame helpers ---------------------------------------------------------

@@ -1,12 +1,15 @@
 // pet::svc message schemas: the payloads carried inside svc::Frame.
 //
 // Encoding discipline: fixed little-endian primitives appended in field
-// order, no padding, doubles as IEEE-754 bit patterns.  Every decode is
-// bounds-checked through WireReader — a short or trailing-garbage payload
-// fails parsing (-> MALFORMED_FRAME at the session layer) instead of
-// reading uninitialized memory.  Requests leave Frame::status zero; the
-// response echoes the request's command with the outcome StatusCode, and
-// error responses carry a UTF-8 detail string as their payload.
+// order, no padding, doubles as IEEE-754 bit patterns.  Each payload's
+// layout is its message's field list in messages.cpp, which both encode and
+// parse walk.  Every decode is bounds-checked — a short or trailing-garbage
+// payload fails parsing (-> MALFORMED_FRAME at the session layer) instead
+// of reading uninitialized memory; trailing bytes are malformed, not
+// forward compatibility (versioning lives in the frame header).  Requests
+// leave Frame::status zero; the response echoes the request's command with
+// the outcome StatusCode, and error responses carry a UTF-8 detail string
+// as their payload.
 #pragma once
 
 #include <cstddef>
@@ -33,53 +36,6 @@ enum class CommandId : std::uint16_t {
 };
 
 [[nodiscard]] std::string_view to_string(CommandId command) noexcept;
-
-// --- primitive wire I/O ----------------------------------------------------
-
-class WireWriter {
- public:
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void f64(double v);
-
-  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
-
- private:
-  std::vector<std::uint8_t> out_;
-};
-
-/// Cursor over a payload.  Every read either succeeds or trips `ok()`
-/// permanently; reads after a failure return zeros, so parse functions can
-/// read all fields unconditionally and check ok() once at the end.
-class WireReader {
- public:
-  explicit WireReader(const std::vector<std::uint8_t>& payload) noexcept
-      : data_(payload.data()), size_(payload.size()) {}
-
-  [[nodiscard]] std::uint8_t u8() noexcept;
-  [[nodiscard]] std::uint16_t u16() noexcept;
-  [[nodiscard]] std::uint32_t u32() noexcept;
-  [[nodiscard]] std::uint64_t u64() noexcept;
-  [[nodiscard]] double f64() noexcept;
-
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-  /// True iff every payload byte was consumed (trailing garbage is a
-  /// malformed message, not forward compatibility — versioning lives in the
-  /// frame header, not in payload slack).
-  [[nodiscard]] bool exhausted() const noexcept {
-    return ok_ && pos_ == size_;
-  }
-
- private:
-  [[nodiscard]] bool take(std::size_t n) noexcept;
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
 
 // --- message structs -------------------------------------------------------
 
@@ -164,10 +120,9 @@ struct FlightDumpRequest {
   std::uint32_t max_records = 0;  ///< 0: no cap; else newest N matches
 };
 
-/// RequestRecord (flight.hpp) has the fixed encoding used here: each record
-/// is 88 bytes — the fixed little-endian fields in declaration order, then
-/// the v1.2 stamp (u16 shard, u8 flags with bit 0 = cache-hit, u8
-/// reserved-zero) — prefixed by a u32 record count.
+/// A u32 record count, then each RequestRecord (flight.hpp) as its fixed
+/// field list: the fixed-width fields in declaration order, then the v1.2
+/// stamp (u16 shard, u8 flags with bit 0 = cache-hit, u8 reserved-zero).
 struct FlightDumpReply {
   std::vector<RequestRecord> records;  ///< oldest to newest
 };
