@@ -1,5 +1,7 @@
 #include "service/metrics_export.hpp"
 
+#include <string_view>
+
 #include "obs/export.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
@@ -12,8 +14,8 @@ namespace {
 
 constexpr int kBoundPrecision = 6;
 
-void append_field(std::string& out, const char* key, std::uint64_t value,
-                  bool& first) {
+void append_field(std::string& out, std::string_view key,
+                  std::uint64_t value, bool& first) {
   if (!first) out += ',';
   first = false;
   out += '"';
@@ -43,19 +45,11 @@ std::string latency_histogram_object(
 std::string stats_object(const PopulationStatsSnapshot& s) {
   std::string out = "{";
   bool first = true;
-  append_field(out, "requests", s.requests, first);
-  append_field(out, "ok", s.ok, first);
-  append_field(out, "degraded", s.degraded, first);
-  append_field(out, "truncated", s.truncated, first);
-  append_field(out, "errors", s.errors, first);
-  append_field(out, "shed", s.shed, first);
-  append_field(out, "deadline_misses", s.deadline_misses, first);
-  append_field(out, "retries", s.retries, first);
-  append_field(out, "backoff_slots", s.backoff_slots, first);
-  append_field(out, "query_slots", s.query_slots, first);
-  append_field(out, "rounds", s.rounds, first);
-  append_field(out, "rounds_planned", s.rounds_planned, first);
-  append_field(out, "cache_hits", s.cache_hits, first);
+  for_each_total(
+      [&](const char* name, std::uint64_t value) {
+        append_field(out, name, value, first);
+      },
+      s);
   out += ",\"latency_slots\":";
   out += latency_histogram_object(s.latency_slots);
   out += "}";
@@ -164,21 +158,11 @@ std::string render_population_document(
   out += std::to_string(population_id);
   out += ",\"counters\":{";
   bool first = true;
-  append_field(out, "pet.svc.pop.requests", stats.requests, first);
-  append_field(out, "pet.svc.pop.ok", stats.ok, first);
-  append_field(out, "pet.svc.pop.degraded", stats.degraded, first);
-  append_field(out, "pet.svc.pop.truncated", stats.truncated, first);
-  append_field(out, "pet.svc.pop.errors", stats.errors, first);
-  append_field(out, "pet.svc.pop.shed", stats.shed, first);
-  append_field(out, "pet.svc.pop.deadline_misses", stats.deadline_misses,
-               first);
-  append_field(out, "pet.svc.pop.retries", stats.retries, first);
-  append_field(out, "pet.svc.pop.backoff_slots", stats.backoff_slots, first);
-  append_field(out, "pet.svc.pop.query_slots", stats.query_slots, first);
-  append_field(out, "pet.svc.pop.rounds", stats.rounds, first);
-  append_field(out, "pet.svc.pop.rounds_planned", stats.rounds_planned,
-               first);
-  append_field(out, "pet.svc.pop.cache_hits", stats.cache_hits, first);
+  for_each_total(
+      [&](const char* name, std::uint64_t value) {
+        append_field(out, std::string("pet.svc.pop.") + name, value, first);
+      },
+      stats);
   out += "},\"gauges\":{},\"histograms\":{\"pet.svc.pop.latency_slots\":";
   out += latency_histogram_object(stats.latency_slots);
   out += "}}";

@@ -19,51 +19,39 @@ void PopulationStats::observe_latency_slots(std::uint64_t slots) noexcept {
   latency_slots[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
-void PopulationStatsSnapshot::accumulate(const PopulationStats& stats) noexcept {
-  const auto load = [](const std::atomic<std::uint64_t>& cell) {
-    return cell.load(std::memory_order_relaxed);
-  };
-  requests += load(stats.requests);
-  ok += load(stats.ok);
-  degraded += load(stats.degraded);
-  truncated += load(stats.truncated);
-  errors += load(stats.errors);
-  shed += load(stats.shed);
-  deadline_misses += load(stats.deadline_misses);
-  retries += load(stats.retries);
-  backoff_slots += load(stats.backoff_slots);
-  query_slots += load(stats.query_slots);
-  rounds += load(stats.rounds);
-  rounds_planned += load(stats.rounds_planned);
-  cache_hits += load(stats.cache_hits);
-  for (std::size_t i = 0; i < latency_slots.size(); ++i) {
-    latency_slots[i] += load(stats.latency_slots[i]);
-  }
-}
-
 namespace {
 
-void accumulate_snapshot(PopulationStatsSnapshot& into,
-                         const PopulationStatsSnapshot& from) noexcept {
-  into.requests += from.requests;
-  into.ok += from.ok;
-  into.degraded += from.degraded;
-  into.truncated += from.truncated;
-  into.errors += from.errors;
-  into.shed += from.shed;
-  into.deadline_misses += from.deadline_misses;
-  into.retries += from.retries;
-  into.backoff_slots += from.backoff_slots;
-  into.query_slots += from.query_slots;
-  into.rounds += from.rounds;
-  into.rounds_planned += from.rounds_planned;
-  into.cache_hits += from.cache_hits;
+[[nodiscard]] std::uint64_t value_of(
+    const std::atomic<std::uint64_t>& cell) noexcept {
+  return cell.load(std::memory_order_relaxed);
+}
+
+[[nodiscard]] std::uint64_t value_of(std::uint64_t cell) noexcept {
+  return cell;
+}
+
+template <class Cell>
+void add_totals(PopulationStatsSnapshot& into,
+                const PopulationTotals<Cell>& from) noexcept {
+  for_each_total([](const char*, std::uint64_t& sum,
+                    const Cell& cell) { sum += value_of(cell); },
+                 into, from);
   for (std::size_t i = 0; i < into.latency_slots.size(); ++i) {
-    into.latency_slots[i] += from.latency_slots[i];
+    into.latency_slots[i] += value_of(from.latency_slots[i]);
   }
 }
 
 }  // namespace
+
+void PopulationStatsSnapshot::accumulate(
+    const PopulationStats& stats) noexcept {
+  add_totals(*this, stats);
+}
+
+void PopulationStatsSnapshot::accumulate(
+    const PopulationStatsSnapshot& other) noexcept {
+  add_totals(*this, other);
+}
 
 PopulationRegistry::PopulationRegistry(RegistryConfig config, unsigned slices)
     : config_(config) {
@@ -154,7 +142,7 @@ PopulationStatsSnapshot PopulationRegistry::fold_stats() const {
   PopulationStatsSnapshot total;
   for (const auto& slice : slices_) {
     std::lock_guard lock(slice->mutex);
-    accumulate_snapshot(total, slice->retired);
+    total.accumulate(slice->retired);
     for (const auto& [id, entry] : slice->entries) {
       (void)id;
       total.accumulate(entry->stats);

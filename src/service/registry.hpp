@@ -38,57 +38,68 @@
 
 namespace pet::svc {
 
-/// Per-population request totals, written only by the service's fold
-/// (service.cpp) for every estimate that resolved to this entry and every
-/// admission shed charged to it.  Always compiled (unlike the pet.svc.pop.*
-/// obs mirror): kMonitor's aggregate counters and the kMetrics export both
-/// fold THESE cells, so the two commands can never disagree.  Everything
-/// here is in slot units or event counts — deterministic for a given
-/// request script at any worker_threads.
-struct PopulationStats {
+/// Per-population request totals over a cell type: atomic counters in the
+/// live PopulationStats, plain u64s in PopulationStatsSnapshot.  Written
+/// only by the service's fold (service.cpp) for every estimate that
+/// resolved to this entry and every admission shed charged to it.  Always
+/// compiled (unlike the pet.svc.pop.* obs mirror): kMonitor's aggregate
+/// counters and the kMetrics export both fold THESE cells, so the two
+/// commands can never disagree.  Everything here is in slot units or event
+/// counts — deterministic for a given request script at any worker_threads.
+template <class Cell>
+struct PopulationTotals {
   /// Bucket count of the slot-unit latency histogram (shared bounds in
   /// obs::kSvcLatencySlotBounds; last bucket is overflow).
   static constexpr std::size_t kLatencyBuckets =
       obs::kSvcLatencySlotBounds.size() + 1;
 
-  std::atomic<std::uint64_t> requests{0};   ///< estimates that found the entry
-  std::atomic<std::uint64_t> ok{0};         ///< kOk replies (incl. degraded)
-  std::atomic<std::uint64_t> degraded{0};   ///< kOk with a nonzero degrade mask
-  std::atomic<std::uint64_t> truncated{0};  ///< deadline stopped the round loop
-  std::atomic<std::uint64_t> errors{0};     ///< typed error replies
-  std::atomic<std::uint64_t> shed{0};       ///< refused at admission
-  std::atomic<std::uint64_t> deadline_misses{0};
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> backoff_slots{0};
-  std::atomic<std::uint64_t> query_slots{0};
-  std::atomic<std::uint64_t> rounds{0};
-  std::atomic<std::uint64_t> rounds_planned{0};
-  std::atomic<std::uint64_t> cache_hits{0};  ///< ok replies served from cache
-  std::array<std::atomic<std::uint64_t>, kLatencyBuckets> latency_slots{};
+  Cell requests{};   ///< estimates that found the entry
+  Cell ok{};         ///< kOk replies (incl. degraded)
+  Cell degraded{};   ///< kOk with a nonzero degrade mask
+  Cell truncated{};  ///< deadline stopped the round loop
+  Cell errors{};     ///< typed error replies
+  Cell shed{};       ///< refused at admission
+  Cell deadline_misses{};
+  Cell retries{};
+  Cell backoff_slots{};
+  Cell query_slots{};
+  Cell rounds{};
+  Cell rounds_planned{};
+  Cell cache_hits{};  ///< ok replies served from cache
+  std::array<Cell, kLatencyBuckets> latency_slots{};
+};
 
+/// Calls f(name, cell...) for every scalar total, taking the same cell
+/// from each of `totals`, in export order (the kMetrics JSON order).  The
+/// latency histogram is not a scalar and is left to the caller.
+template <class F, class... Totals>
+void for_each_total(F&& f, Totals&... totals) {
+  f("requests", totals.requests...);
+  f("ok", totals.ok...);
+  f("degraded", totals.degraded...);
+  f("truncated", totals.truncated...);
+  f("errors", totals.errors...);
+  f("shed", totals.shed...);
+  f("deadline_misses", totals.deadline_misses...);
+  f("retries", totals.retries...);
+  f("backoff_slots", totals.backoff_slots...);
+  f("query_slots", totals.query_slots...);
+  f("rounds", totals.rounds...);
+  f("rounds_planned", totals.rounds_planned...);
+  f("cache_hits", totals.cache_hits...);
+}
+
+/// The live cells of one registered population.
+struct PopulationStats : PopulationTotals<std::atomic<std::uint64_t>> {
   /// Bucket (backoff + query) slots into the latency histogram.
   void observe_latency_slots(std::uint64_t slots) noexcept;
 };
 
-/// Plain-value snapshot of PopulationStats, addable so the registry can
-/// fold live entries plus already-unregistered ones into one total.
-struct PopulationStatsSnapshot {
-  std::uint64_t requests = 0;
-  std::uint64_t ok = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t truncated = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t backoff_slots = 0;
-  std::uint64_t query_slots = 0;
-  std::uint64_t rounds = 0;
-  std::uint64_t rounds_planned = 0;
-  std::uint64_t cache_hits = 0;
-  std::array<std::uint64_t, PopulationStats::kLatencyBuckets> latency_slots{};
-
+/// Plain-value totals, addable so the registry can fold live entries plus
+/// already-unregistered ones into one total.
+struct PopulationStatsSnapshot : PopulationTotals<std::uint64_t> {
   void accumulate(const PopulationStats& stats) noexcept;
+  void accumulate(const PopulationStatsSnapshot& other) noexcept;
 };
 
 struct RegistryConfig {
