@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +26,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "obs/jsonlite.hpp"
@@ -64,6 +66,11 @@ int usage() {
   return 2;
 }
 
+/// An option value that is not one whole number in its field's range.
+struct BadValue {
+  std::string arg;
+};
+
 /// Minimal --key=value map (mirrors petsim's idiom).
 struct Args {
   std::string socket_path;
@@ -78,14 +85,19 @@ struct Args {
     }
     return fallback;
   }
-  [[nodiscard]] std::uint64_t get(const std::string& key,
-                                  std::uint64_t fallback) const {
+  /// Numeric value of `key`, or `fallback` when absent.  Throws BadValue
+  /// unless the whole value is one number that fits a T.
+  template <class T>
+  [[nodiscard]] T get(const std::string& key, T fallback) const
+    requires std::is_arithmetic_v<T>
+  {
     const std::string v = get(key, std::string());
-    return v.empty() ? fallback : std::strtoull(v.c_str(), nullptr, 10);
-  }
-  [[nodiscard]] double get(const std::string& key, double fallback) const {
-    const std::string v = get(key, std::string());
-    return v.empty() ? fallback : std::strtod(v.c_str(), nullptr);
+    if (v.empty()) return fallback;
+    T out{};
+    const char* end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (ec != std::errc{} || ptr != end) throw BadValue{"--" + key + "=" + v};
+    return out;
   }
 };
 
@@ -699,6 +711,25 @@ int cmd_soak(const Args& args) {
   return 0;
 }
 
+int run(const Args& args) {
+  if (args.command == "soak") return cmd_soak(args);
+
+  Connection conn;
+  if (!conn.open(args.socket_path)) {
+    std::fprintf(stderr, "petctl: cannot connect to %s\n",
+                 args.socket_path.c_str());
+    return 1;
+  }
+  if (args.command == "ping") return cmd_ping(conn);
+  if (args.command == "register") return cmd_register(conn, args);
+  if (args.command == "unregister") return cmd_unregister(conn, args);
+  if (args.command == "estimate") return cmd_estimate(conn, args);
+  if (args.command == "monitor") return cmd_monitor(conn);
+  if (args.command == "top") return cmd_top(conn, args);
+  if (args.command == "trace") return cmd_trace(conn, args);
+  return usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -725,21 +756,10 @@ int main(int argc, char** argv) {
     }
   }
   if (args.socket_path.empty() || args.command.empty()) return usage();
-
-  if (args.command == "soak") return cmd_soak(args);
-
-  Connection conn;
-  if (!conn.open(args.socket_path)) {
-    std::fprintf(stderr, "petctl: cannot connect to %s\n",
-                 args.socket_path.c_str());
-    return 1;
+  try {
+    return run(args);
+  } catch (const BadValue& bad) {
+    std::fprintf(stderr, "petctl: bad value in %s\n", bad.arg.c_str());
+    return usage();
   }
-  if (args.command == "ping") return cmd_ping(conn);
-  if (args.command == "register") return cmd_register(conn, args);
-  if (args.command == "unregister") return cmd_unregister(conn, args);
-  if (args.command == "estimate") return cmd_estimate(conn, args);
-  if (args.command == "monitor") return cmd_monitor(conn);
-  if (args.command == "top") return cmd_top(conn, args);
-  if (args.command == "trace") return cmd_trace(conn, args);
-  return usage();
 }

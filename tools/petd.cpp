@@ -16,18 +16,21 @@
 #include <atomic>
 #include <cerrno>
 #include <csignal>
+#include <charconv>
 #include <cstdint>
 #include <exception>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <list>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
 
+#include "common/ensure.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prom.hpp"
 #include "runtime/cancel.hpp"
@@ -98,61 +101,55 @@ void dump_prometheus(const Options& options) {
   }
 }
 
-bool parse_u64(std::string_view arg, std::string_view prefix,
-               std::uint64_t& out) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = std::strtoull(std::string(arg.substr(prefix.size())).c_str(), nullptr,
-                      10);
+/// An option value that is not one whole number in its field's range.
+struct BadValue {
+  std::string arg;
+};
+
+/// If `arg` is `prefix` + value, parse the value into `out` (throwing
+/// BadValue unless the whole value is a number that fits) and return true.
+template <class T>
+bool parse_value(std::string_view arg, std::string_view prefix, T& out) {
+  if (!arg.starts_with(prefix)) return false;
+  const std::string_view text = arg.substr(prefix.size());
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc{} || ptr != end) throw BadValue{std::string(arg)};
   return true;
 }
 
-bool parse_double(std::string_view arg, std::string_view prefix, double& out) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = std::strtod(std::string(arg.substr(prefix.size())).c_str(), nullptr);
-  return true;
-}
-
-int parse(int argc, char** argv, Options& options) {
+int parse(int argc, char** argv, Options& options) try {
+  svc::ServiceConfig& service = options.service;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    std::uint64_t u = 0;
-    double d = 0.0;
     if (arg == "--help" || arg == "-h") return usage();
+    if (parse_value(arg, "--threads=", service.worker_threads) ||
+        parse_value(arg, "--shards=", service.shards) ||
+        parse_value(arg, "--max-inflight=", service.max_inflight) ||
+        parse_value(arg, "--cache-entries=", service.cache_entries) ||
+        parse_value(arg, "--cache-bytes=", service.cache_bytes) ||
+        parse_value(arg, "--tree-height=", service.registry.tree_height) ||
+        parse_value(arg, "--retry-attempts=", service.retry.max_attempts) ||
+        parse_value(arg, "--link-loss=",
+                    service.link_faults.reply_loss_prob) ||
+        parse_value(arg, "--fault-seed=", service.link_faults.seed) ||
+        parse_value(arg, "--slot-us=", service.slot_us) ||
+        parse_value(arg, "--flight-capacity=", service.flight_capacity)) {
+      continue;
+    }
     if (arg.rfind("--socket=", 0) == 0) {
       options.socket_path = std::string(arg.substr(9));
-    } else if (parse_u64(arg, "--threads=", u)) {
-      options.service.worker_threads = static_cast<unsigned>(u);
-    } else if (parse_u64(arg, "--shards=", u)) {
-      options.service.shards = static_cast<unsigned>(u);
-    } else if (parse_u64(arg, "--max-inflight=", u)) {
-      options.service.max_inflight = static_cast<std::size_t>(u);
-    } else if (parse_u64(arg, "--cache-entries=", u)) {
-      options.service.cache_entries = static_cast<std::size_t>(u);
-    } else if (parse_u64(arg, "--cache-bytes=", u)) {
-      options.service.cache_bytes = static_cast<std::size_t>(u);
-    } else if (parse_u64(arg, "--tree-height=", u)) {
-      options.service.registry.tree_height = static_cast<unsigned>(u);
-    } else if (parse_u64(arg, "--retry-attempts=", u)) {
-      options.service.retry.max_attempts = static_cast<std::uint32_t>(u);
-    } else if (parse_double(arg, "--link-loss=", d)) {
-      options.service.link_faults.reply_loss_prob = d;
     } else if (arg.rfind("--link-outage=", 0) == 0) {
-      const std::string spec(arg.substr(14));
+      const std::string_view spec = arg.substr(14);
       const std::size_t comma = spec.find(',');
-      if (comma == std::string::npos) return usage();
+      if (comma == std::string_view::npos) return usage();
       sim::ReaderOutage outage;
-      outage.begin_slot = std::strtoull(spec.c_str(), nullptr, 10);
-      const std::uint64_t end =
-          std::strtoull(spec.c_str() + comma + 1, nullptr, 10);
+      std::uint64_t end = 0;
+      parse_value(spec.substr(0, comma), "", outage.begin_slot);
+      parse_value(spec.substr(comma + 1), "", end);
       outage.duration_slots = end > outage.begin_slot ? end - outage.begin_slot
                                                       : 0;
-      options.service.link_faults.script.outages.push_back(outage);
-    } else if (parse_u64(arg, "--fault-seed=", u)) {
-      options.service.link_faults.seed = u;
-    } else if (parse_u64(arg, "--slot-us=", u)) {
-      options.service.slot_us = u;
-    } else if (parse_u64(arg, "--flight-capacity=", u)) {
-      options.service.flight_capacity = static_cast<std::size_t>(u);
+      service.link_faults.script.outages.push_back(outage);
     } else if (arg.rfind("--obs=", 0) == 0) {
       try {
         obs::set_level(obs::parse_level(arg.substr(6)));
@@ -174,6 +171,9 @@ int parse(int argc, char** argv, Options& options) {
     return usage();
   }
   return 0;
+} catch (const BadValue& bad) {
+  std::fprintf(stderr, "petd: bad value in %s\n", bad.arg.c_str());
+  return usage();
 }
 
 /// write() the whole buffer, riding out EINTR and partial writes.  Returns
@@ -268,6 +268,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "petd: socket path too long\n");
     return 2;
   }
+  // Build the service (which checks its whole configuration) before the
+  // socket exists, so a bad option leaves no socket file behind.
+  std::optional<svc::EstimationService> service_slot;
+  try {
+    service_slot.emplace(options.service);
+  } catch (const PreconditionError& e) {
+    std::fprintf(stderr, "petd: %s\n", e.what());
+    return usage();
+  }
+  svc::EstimationService& service = *service_slot;
 
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listen_fd < 0) {
@@ -287,7 +297,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  svc::EstimationService service(options.service);
   if (!options.quiet) {
     std::fprintf(stderr,
                  "petd: listening on %s (%u workers, %u shards, cap %zu, "
