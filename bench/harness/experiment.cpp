@@ -1,11 +1,8 @@
 #include "harness/experiment.hpp"
 
-#include <chrono>
-
 #include "channel/arena.hpp"
 #include "channel/sampled_channel.hpp"
 #include "channel/sorted_pet_channel.hpp"
-#include "obs/profile.hpp"
 #include "rng/prng.hpp"
 #include "runtime/trial_runner.hpp"
 #include "tags/population.hpp"
@@ -13,34 +10,6 @@
 namespace pet::bench {
 
 namespace {
-
-/// Stopwatch splitting one trial into its build and estimate phases for the
-/// process-wide obs::SweepPhase totals (the artifact "profile" member).
-class PhaseSplit {
- public:
-  PhaseSplit() : begin_(std::chrono::steady_clock::now()) {}
-
-  /// Call between channel acquisition and estimation.
-  void built() noexcept {
-    split_ = std::chrono::steady_clock::now();
-    obs::add_sweep_phase_seconds(
-        obs::SweepPhase::kBuild,
-        std::chrono::duration<double>(split_ - begin_).count());
-  }
-
-  ~PhaseSplit() {
-    obs::add_sweep_phase_seconds(
-        obs::SweepPhase::kEstimate,
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      split_)
-            .count());
-  }
-
- private:
-  std::chrono::steady_clock::time_point begin_;
-  std::chrono::steady_clock::time_point split_{begin_};
-};
-
 
 void absorb(TrialSet& set, double n_hat, const sim::SlotLedger& ledger,
             std::uint64_t runs) {
@@ -77,12 +46,10 @@ TrialSet run_sampled(std::uint64_t n, const Estimator& estimator,
                      const char* label) {
   return aggregate(n, runs, label, [&estimator, n, rounds, seed,
                                     stride](std::uint64_t run) {
-    PhaseSplit phases;
     // The arena channel is bit-identical to a per-trial construction
     // (reset() reinstates the freshly-constructed state).
     chan::SampledChannel& channel =
         chan::arena_sampled_channel(n, rng::derive_seed(seed, stride * run));
-    phases.built();
     const std::uint64_t est_seed = rng::derive_seed(seed, stride * run + 1);
     if constexpr (requires {
                     estimator.estimate_with_rounds(channel, rounds, est_seed);
@@ -110,13 +77,11 @@ TrialSet run_pet(std::uint64_t n, const core::PetConfig& config,
 
   return aggregate(n, runs, "PET", [&estimator, &ids, &config, m,
                                     seed](std::uint64_t run) {
-    PhaseSplit phases;
     chan::SortedPetChannelConfig channel_config;
     channel_config.tree_height = config.tree_height;
     channel_config.manufacturing_seed = rng::derive_seed(seed, 2 * run);
     chan::SortedPetChannel& channel =
         chan::arena_sorted_pet_channel(ids, channel_config);
-    phases.built();
     auto result = estimator.estimate_with_rounds(
         channel, m, rng::derive_seed(seed, 2 * run + 1));
     // The arena channel outlives the trial, so publish the final round's

@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/parallel_exec.hpp"
 #include "runtime/trial_runner.hpp"
@@ -86,7 +85,6 @@ BenchOptions BenchOptions::parse(int argc, char** argv,
   // the same process (gtest-style multi-runs) must not leak into the
   // artifact's metrics section.
   obs::MetricsRegistry::instance().reset();
-  obs::reset_sweep_phase_seconds();
   return options;
 }
 

@@ -7,7 +7,6 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/trial_runner.hpp"
 
@@ -34,17 +33,6 @@ void BenchSession::finish() noexcept {
   if (runtime::shutdown_requested()) {
     report_.set_truncated(true);
   }
-  // Per-phase wall breakdown (summed across worker threads; the build vs
-  // estimate *ratio* is the signal).  Emitted in every artifact; benchdiff
-  // ignores it like wall_seconds.
-  report_.set_profile(
-      "{\"build_seconds\": " +
-      runtime::json_number(obs::sweep_phase_seconds(obs::SweepPhase::kBuild),
-                           6) +
-      ", \"estimate_seconds\": " +
-      runtime::json_number(
-          obs::sweep_phase_seconds(obs::SweepPhase::kEstimate), 6) +
-      "}");
   if (obs::counters_enabled()) {
     auto& runner = runtime::global_runner();
     const runtime::ThreadPool::Stats stats = runner.pool_stats();

@@ -1,34 +1,9 @@
 #include "obs/profile.hpp"
 
-#include <atomic>
 #include <ctime>
 #include <utility>
 
 namespace pet::obs {
-
-namespace {
-
-std::atomic<double>& sweep_phase_total(SweepPhase phase) noexcept {
-  static std::atomic<double> build{0.0};
-  static std::atomic<double> estimate{0.0};
-  return phase == SweepPhase::kBuild ? build : estimate;
-}
-
-}  // namespace
-
-void add_sweep_phase_seconds(SweepPhase phase, double seconds) noexcept {
-  sweep_phase_total(phase).fetch_add(seconds, std::memory_order_relaxed);
-}
-
-double sweep_phase_seconds(SweepPhase phase) noexcept {
-  return sweep_phase_total(phase).load(std::memory_order_relaxed);
-}
-
-void reset_sweep_phase_seconds() noexcept {
-  sweep_phase_total(SweepPhase::kBuild).store(0.0, std::memory_order_relaxed);
-  sweep_phase_total(SweepPhase::kEstimate)
-      .store(0.0, std::memory_order_relaxed);
-}
 
 double PhaseProfiler::process_cpu_seconds() noexcept {
 #if defined(CLOCK_PROCESS_CPUTIME_ID)

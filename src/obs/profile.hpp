@@ -56,19 +56,4 @@ class PhaseProfiler {
   std::vector<Phase> phases_;
 };
 
-/// The two phases of one sweep trial: acquiring the channel (hash + sort /
-/// rebuild) vs running the estimation rounds.
-enum class SweepPhase : std::uint8_t { kBuild, kEstimate };
-
-/// Thread-safe process-wide wall-time totals per SweepPhase, accumulated by
-/// the trial lambdas on worker threads (unlike PhaseProfiler, which is
-/// single-threaded).  Summed across threads, so on a T-thread sweep the
-/// totals can exceed the artifact's wall_seconds by up to a factor of T;
-/// their *ratio* is the signal (does construction dominate?).  Emitted as
-/// the BENCH json "profile" member — descriptive, never part of a golden
-/// comparison.
-void add_sweep_phase_seconds(SweepPhase phase, double seconds) noexcept;
-[[nodiscard]] double sweep_phase_seconds(SweepPhase phase) noexcept;
-void reset_sweep_phase_seconds() noexcept;
-
 }  // namespace pet::obs

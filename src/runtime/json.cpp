@@ -81,9 +81,6 @@ std::string BenchReport::to_json() const {
   if (truncated_) {
     out += "  \"truncated\": true,\n";
   }
-  if (!profile_.empty()) {
-    out += "  \"profile\": " + profile_ + ",\n";
-  }
   if (!metrics_json_.empty()) {
     out += "  \"metrics\": " + metrics_json_ + ",\n";
   }

@@ -58,14 +58,6 @@ class BenchReport {
     metrics_json_ = std::move(metrics);
   }
 
-  /// Attach a pre-rendered per-phase wall breakdown (build_seconds /
-  /// estimate_seconds); emitted as a top-level "profile" member.  Like
-  /// wall_seconds it describes the run, not the simulation — benchdiff
-  /// ignores it.  Empty string omits the member.
-  void set_profile(std::string profile) {
-    profile_ = std::move(profile);
-  }
-
   [[nodiscard]] const std::string& target() const noexcept { return target_; }
   [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
 
@@ -88,7 +80,6 @@ class BenchReport {
   double wall_seconds_ = 0.0;
   bool truncated_ = false;
   std::string metrics_json_;
-  std::string profile_;
   std::vector<Row> rows_;
 };
 
