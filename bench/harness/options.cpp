@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <string_view>
+#include <filesystem>
 
+#include "common/cli.hpp"
+#include "common/ensure.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/parallel_exec.hpp"
@@ -12,61 +14,55 @@
 
 namespace pet::bench {
 
+namespace {
+
+void print_options(std::FILE* out) {
+  std::fprintf(out,
+               "options:\n"
+               "  --runs=N     repetitions per data point (default 300)\n"
+               "  --quick      use 30 runs (smoke test)\n"
+               "  --csv        CSV output\n"
+               "  --seed=S     master seed (default 1)\n"
+               "  --threads=T  trial-runner threads (default: hardware "
+               "concurrency)\n"
+               "  --quiet      no stderr progress meter\n"
+               "  --json=PATH  result artifact path (default "
+               "BENCH_<target>.json)\n"
+               "  --obs=LEVEL  observability level off|counters|full "
+               "(default counters)\n");
+}
+
+}  // namespace
+
 BenchOptions BenchOptions::parse(int argc, char** argv,
                                  const std::string& description) {
   BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
+  try {
+    const cli::Args args(argc, argv);
+    if (args.flag("help")) {
       std::printf("%s\n\n", description.c_str());
-      std::printf(
-          "options:\n"
-          "  --runs=N     repetitions per data point (default 300)\n"
-          "  --quick      use 30 runs (smoke test)\n"
-          "  --csv        CSV output\n"
-          "  --seed=S     master seed (default 1)\n"
-          "  --threads=T  trial-runner threads (default: hardware "
-          "concurrency)\n"
-          "  --quiet      no stderr progress meter\n"
-          "  --json=PATH  result artifact path (default "
-          "BENCH_<target>.json)\n"
-          "  --obs=LEVEL  observability level off|counters|full "
-          "(default counters)\n");
+      print_options(stdout);
       std::exit(0);
-    } else if (arg == "--quick") {
-      options.runs = 30;
-    } else if (arg == "--csv") {
-      options.csv = true;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (arg.rfind("--runs=", 0) == 0) {
-      options.runs = std::strtoull(argv[i] + 7, nullptr, 10);
-      if (options.runs == 0) {
-        std::fprintf(stderr, "--runs must be positive\n");
-        std::exit(2);
-      }
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      options.seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads =
-          static_cast<unsigned>(std::strtoul(argv[i] + 10, nullptr, 10));
-    } else if (arg.rfind("--json=", 0) == 0) {
-      options.json = std::string(arg.substr(7));
-      if (options.json.empty()) {
-        std::fprintf(stderr, "--json needs a path\n");
-        std::exit(2);
-      }
-    } else if (arg.rfind("--obs=", 0) == 0) {
-      try {
-        options.obs_level = obs::parse_level(arg.substr(6));
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr, "unknown argument: %s (try --help)\n", argv[i]);
-      std::exit(2);
     }
+    options.runs = args.get("runs", args.flag("quick") ? std::uint64_t{30}
+                                                       : options.runs);
+    if (options.runs == 0) throw cli::UsageError("--runs must be positive");
+    options.csv = args.flag("csv");
+    options.seed = args.get("seed", options.seed);
+    options.threads = args.get("threads", options.threads);
+    options.quiet = args.flag("quiet");
+    options.json = args.get("json", "");
+    if (options.json.empty() && !args.all("json").empty()) {
+      throw cli::UsageError("--json needs a path");
+    }
+    options.obs_level = obs::parse_level(args.get("obs", "counters"));
+    args.refuse_unread();
+  } catch (const PreconditionError& error) {  // cli::UsageError included
+    std::fprintf(stderr, "%s: %s\n",
+                 std::filesystem::path(argv[0]).filename().c_str(),
+                 error.what());
+    print_options(stderr);
+    std::exit(2);
   }
   runtime::global_runner().configure(options.threads, !options.quiet);
   // Intra-trial parallel prefix partition shares the same --threads budget.

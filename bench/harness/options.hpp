@@ -2,7 +2,7 @@
 //
 // Every harness accepts:
 //   --runs=N     repetitions per data point (default 300, the paper's setup)
-//   --quick      shrink runs to 30 for smoke testing
+//   --quick      shrink runs to 30 for smoke testing (--runs=N overrides)
 //   --csv        machine-readable output instead of aligned tables
 //   --seed=S     master seed (default 1)
 //   --threads=T  worker threads for the trial runner (default: hardware
@@ -35,8 +35,8 @@ struct BenchOptions {
   std::string json;  ///< empty = default BENCH_<target>.json
   obs::Level obs_level = obs::Level::kCounters;
 
-  /// Parse argv; prints usage and exits(0) on --help, exits(2) on unknown
-  /// arguments.  Also configures runtime::global_runner() with the chosen
+  /// Parse argv; prints usage and exits(0) on --help, exits(2) on an
+  /// unknown option or a value that is not one whole number.  Also configures runtime::global_runner() with the chosen
   /// thread count and progress setting — the one call every bench makes
   /// before running trials.
   static BenchOptions parse(int argc, char** argv,

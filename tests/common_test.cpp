@@ -6,10 +6,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/bitcode.hpp"
+#include "common/cli.hpp"
 #include "common/ensure.hpp"
 #include "common/radix.hpp"
 #include "common/types.hpp"
@@ -302,6 +304,94 @@ TEST(Radix, EveryKeyWidthSortsDenseAndSparseShapes) {
     expect_radix_sorts(std::move(dense), key_bits);
     expect_radix_sorts(std::move(sparse), key_bits);
   }
+}
+
+cli::Args command_line(std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "tool");
+  return cli::Args(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Cli, ReadsWholeValues) {
+  const cli::Args args = command_line(
+      {"--n=18446744073709551615", "--threads=8", "--eps=0.05", "--e=1e-3"});
+  EXPECT_EQ(args.get("n", std::uint64_t{0}), UINT64_MAX);
+  EXPECT_EQ(args.get("threads", 0u), 8u);
+  EXPECT_EQ(args.get("eps", 0.0), 0.05);
+  EXPECT_EQ(args.get("e", 0.0), 1e-3);
+  EXPECT_EQ(args.get("absent", 7u), 7u);
+}
+
+TEST(Cli, RejectsPartialMalformedAndOutOfRangeValues) {
+  for (const char* text : {"", "abc", "12x", "-1", "99999999999999999999"}) {
+    const std::string arg = std::string("--n=") + text;
+    const cli::Args args = command_line({arg.c_str()});
+    EXPECT_THROW((void)args.get("n", std::uint64_t{0}), cli::UsageError)
+        << text;
+    EXPECT_THROW((void)args.get("n", 0u), cli::UsageError) << text;
+  }
+  for (const char* text : {"", "abc", "0.05x"}) {
+    const std::string arg = std::string("--eps=") + text;
+    EXPECT_THROW((void)command_line({arg.c_str()}).get("eps", 0.0),
+                 cli::UsageError)
+        << text;
+  }
+  try {
+    (void)command_line({"--eps=0.05x"}).get("eps", 0.0);
+    FAIL() << "0.05x was read";
+  } catch (const cli::UsageError& error) {
+    EXPECT_STREQ(error.what(), "bad value in --eps=0.05x");
+  }
+}
+
+TEST(Cli, FlagsTakeNoValueAndValuesNeedOne) {
+  const cli::Args args = command_line({"--quiet", "--n", "--csv=1"});
+  EXPECT_TRUE(args.flag("quiet"));
+  EXPECT_FALSE(args.flag("absent"));
+  EXPECT_THROW((void)args.get("n", 0u), cli::UsageError);
+  EXPECT_THROW((void)args.get("n", std::string()), cli::UsageError);
+  EXPECT_THROW((void)args.flag("csv"), cli::UsageError);
+  EXPECT_TRUE(command_line({"-h"}).flag("help"));
+  EXPECT_THROW(command_line({"-x"}).refuse_unread(), cli::UsageError);
+}
+
+TEST(Cli, RepeatedKeysKeepTheirOrder) {
+  const cli::Args args =
+      command_line({"--require=b.", "--metrics=m.json", "--require=a."});
+  EXPECT_EQ(args.all("require"), (std::vector<std::string>{"b.", "a."}));
+  EXPECT_EQ(args.get("require", std::string()), "a.");
+  EXPECT_TRUE(args.all("absent").empty());
+}
+
+TEST(Cli, KeepsPositionalsInOrder) {
+  const cli::Args args =
+      command_line({"golden.json", "--rtol=0.1", "candidate.json"});
+  EXPECT_EQ(args.positionals(),
+            (std::vector<std::string>{"golden.json", "candidate.json"}));
+  EXPECT_EQ(args.get("rtol", 0.0), 0.1);
+  EXPECT_NO_THROW(args.refuse_unread(2));
+  EXPECT_THROW(args.refuse_unread(1), cli::UsageError);
+}
+
+TEST(Cli, RefusesKeysTheCommandDidNotRead) {
+  const cli::Args args = command_line({"--id=3", "--populaton=3"});
+  EXPECT_EQ(args.get("id", 0u), 3u);
+  EXPECT_EQ(args.get("population", 0u), 0u);
+  try {
+    args.refuse_unread();
+    FAIL() << "unknown key accepted";
+  } catch (const cli::UsageError& error) {
+    EXPECT_STREQ(error.what(), "unknown option --populaton");
+  }
+  EXPECT_EQ(args.get("populaton", 0u), 3u);
+  EXPECT_NO_THROW(args.refuse_unread());
+}
+
+TEST(Cli, ChoiceAcceptsOnlyListedValues) {
+  const cli::Args args = command_line({"--mac=gen2", "--sort=bogus"});
+  EXPECT_EQ(args.choice("mac", "ideal", {"ideal", "gen2"}), "gen2");
+  EXPECT_EQ(args.choice("absent", "ideal", {"ideal", "gen2"}), "ideal");
+  EXPECT_THROW((void)args.choice("sort", "id", {"id", "rate"}),
+               cli::UsageError);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "verify/benchjson.hpp"
 
 namespace {
@@ -33,27 +34,16 @@ namespace {
   std::exit(code);
 }
 
-bool take_value(const std::string& arg, const char* flag, std::string& out) {
-  const std::string prefix = std::string(flag) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = arg.substr(prefix.size());
-  return true;
-}
-
-/// A tolerance is the whole flag value as one finite number >= 0; anything
-/// else (empty, "abc", "nan", "inf", "-1", "0.1x") is a usage error, since
-/// a NaN bound would silently pass every numeric cell.
-double parse_tolerance(const char* flag, const std::string& value) {
-  char* end = nullptr;
-  const double tolerance = std::strtod(value.c_str(), &end);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      !std::isfinite(tolerance) || tolerance < 0.0) {
-    std::fprintf(stderr,
-                 "benchdiff: %s needs a finite number >= 0, got '%s'\n",
-                 flag, value.c_str());
-    std::exit(2);
+/// A tolerance is one finite number >= 0, since a NaN bound would silently
+/// pass every numeric cell.
+double tolerance(const pet::cli::Args& args, const char* key,
+                 double fallback) {
+  const double value = args.get(key, fallback);
+  if (!std::isfinite(value) || value < 0.0) {
+    throw pet::cli::UsageError(std::string("--") + key +
+                               " needs a finite number >= 0");
   }
-  return tolerance;
+  return value;
 }
 
 }  // namespace
@@ -62,24 +52,17 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   pet::verify::BenchDiffOptions options;
   bool quiet = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--help" || arg == "-h") {
-      usage(argv[0], 0);
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (take_value(arg, "--rtol", value)) {
-      options.rtol = parse_tolerance("--rtol", value);
-    } else if (take_value(arg, "--atol", value)) {
-      options.atol = parse_tolerance("--atol", value);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "benchdiff: unknown argument '%s'\n", arg.c_str());
-      usage(argv[0], 2);
-    } else {
-      paths.push_back(arg);
-    }
+  try {
+    const pet::cli::Args args(argc, argv);
+    if (args.flag("help")) usage(argv[0], 0);
+    paths = args.positionals();
+    quiet = args.flag("quiet");
+    options.rtol = tolerance(args, "rtol", options.rtol);
+    options.atol = tolerance(args, "atol", options.atol);
+    args.refuse_unread(2);
+  } catch (const pet::cli::UsageError& error) {
+    std::fprintf(stderr, "benchdiff: %s\n", error.what());
+    usage(argv[0], 2);
   }
   if (paths.size() != 2) usage(argv[0], 2);
 

@@ -18,13 +18,14 @@
 // not numeric: values are run-dependent by design.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "obs/jsonlite.hpp"
 #include "verify/benchjson.hpp"
 
@@ -344,28 +345,29 @@ void check_jsonl(const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-
-  // Two passes so --require applies regardless of flag order.
   std::vector<std::string> required;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--require=", 10) == 0) {
-      required.emplace_back(argv[i] + 10);
+  std::vector<std::pair<std::string, std::string>> inputs;  // (kind, path)
+  try {
+    const pet::cli::Args args(argc, argv);
+    // --require applies to every document, wherever it stands.
+    required = args.all("require");
+    for (const char* kind : {"metrics", "bench", "jsonl", "svc-metrics",
+                             "prom"}) {
+      for (std::string& path : args.all(kind)) inputs.emplace_back(kind, path);
     }
+    args.refuse_unread();
+  } catch (const pet::cli::UsageError& error) {
+    std::fprintf(stderr, "obscheck: %s\n", error.what());
+    return usage();
   }
+  if (inputs.empty()) return usage();
 
-  bool saw_input = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  for (const auto& [kind, path] : inputs) {
     try {
-      if (arg.rfind("--metrics=", 0) == 0) {
-        saw_input = true;
-        const std::string path = arg.substr(10);
+      if (kind == "metrics") {
         check_metrics_document(pet::obs::parse_json(read_file(path)), path,
                                required);
-      } else if (arg.rfind("--bench=", 0) == 0) {
-        saw_input = true;
-        const std::string path = arg.substr(8);
+      } else if (kind == "bench") {
         const pet::verify::BenchArtifact artifact =
             pet::verify::load_bench_json(path);
         if (artifact.metrics.kind == pet::obs::JsonValue::Kind::kNull) {
@@ -374,27 +376,18 @@ int main(int argc, char** argv) {
           check_metrics_document(artifact.metrics, path + ": metrics",
                                  required);
         }
-      } else if (arg.rfind("--jsonl=", 0) == 0) {
-        saw_input = true;
-        check_jsonl(arg.substr(8));
-      } else if (arg.rfind("--svc-metrics=", 0) == 0) {
-        saw_input = true;
-        const std::string path = arg.substr(14);
+      } else if (kind == "jsonl") {
+        check_jsonl(path);
+      } else if (kind == "svc-metrics") {
         check_svc_metrics_document(pet::obs::parse_json(read_file(path)),
                                    path, required);
-      } else if (arg.rfind("--prom=", 0) == 0) {
-        saw_input = true;
-        check_prometheus(arg.substr(7));
-      } else if (arg.rfind("--require=", 0) == 0) {
-        // collected above
       } else {
-        return usage();
+        check_prometheus(path);
       }
     } catch (const std::exception& error) {
       fail(error.what());
     }
   }
-  if (!saw_input) return usage();
   if (g_ok) std::printf("obscheck: ok\n");
   return g_ok ? 0 : 1;
 }

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -26,9 +25,9 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "obs/jsonlite.hpp"
 #include "rng/prng.hpp"
 #include "service/chaos.hpp"
@@ -65,41 +64,6 @@ int usage() {
       "             [--deadline-slots=N]\n");
   return 2;
 }
-
-/// An option value that is not one whole number in its field's range.
-struct BadValue {
-  std::string arg;
-};
-
-/// Minimal --key=value map (mirrors petsim's idiom).
-struct Args {
-  std::string socket_path;
-  std::string command;
-  std::string operand;  ///< positional argument after the command (trace)
-  std::vector<std::pair<std::string, std::string>> kv;
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    for (const auto& [k, v] : kv) {
-      if (k == key) return v;
-    }
-    return fallback;
-  }
-  /// Numeric value of `key`, or `fallback` when absent.  Throws BadValue
-  /// unless the whole value is one number that fits a T.
-  template <class T>
-  [[nodiscard]] T get(const std::string& key, T fallback) const
-    requires std::is_arithmetic_v<T>
-  {
-    const std::string v = get(key, std::string());
-    if (v.empty()) return fallback;
-    T out{};
-    const char* end = v.data() + v.size();
-    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
-    if (ec != std::errc{} || ptr != end) throw BadValue{"--" + key + "=" + v};
-    return out;
-  }
-};
 
 class Connection {
  public:
@@ -186,6 +150,13 @@ class Connection {
   svc::Decoder decoder_;
 };
 
+/// Opens `conn` to petd at `path`, or says why it cannot.
+bool connect(Connection& conn, const std::string& path) {
+  if (conn.open(path)) return true;
+  std::fprintf(stderr, "petctl: cannot connect to %s\n", path.c_str());
+  return false;
+}
+
 void print_status(const svc::Frame& response) {
   const auto status = static_cast<svc::StatusCode>(response.status);
   std::printf("status: %s\n", std::string(svc::to_string(status)).c_str());
@@ -194,7 +165,13 @@ void print_status(const svc::Frame& response) {
   }
 }
 
-int cmd_ping(Connection& conn) {
+// Each command reads every option it takes, refusing any it does not,
+// before it connects.
+
+int cmd_ping(const std::string& socket, const cli::Args& args) {
+  args.refuse_unread(1);
+  Connection conn;
+  if (!connect(conn, socket)) return 1;
   const auto response = conn.call(svc::make_request(svc::CommandId::kPing));
   if (!response) {
     std::fprintf(stderr, "petctl: no response to ping\n");
@@ -204,11 +181,14 @@ int cmd_ping(Connection& conn) {
   return response->status == 0 ? 0 : 1;
 }
 
-int cmd_register(Connection& conn, const Args& args) {
+int cmd_register(const std::string& socket, const cli::Args& args) {
   svc::RegisterRequest request;
   request.population_id = args.get("id", std::uint64_t{0});
   request.tag_count = args.get("tags", std::uint64_t{10000});
   request.population_seed = args.get("pop-seed", std::uint64_t{7});
+  args.refuse_unread(1);
+  Connection conn;
+  if (!connect(conn, socket)) return 1;
   const auto response = conn.call(svc::make_request(
       svc::CommandId::kRegister, svc::encode(request)));
   if (!response) {
@@ -225,9 +205,12 @@ int cmd_register(Connection& conn, const Args& args) {
   return 0;
 }
 
-int cmd_unregister(Connection& conn, const Args& args) {
+int cmd_unregister(const std::string& socket, const cli::Args& args) {
   svc::UnregisterRequest request;
   request.population_id = args.get("id", std::uint64_t{0});
+  args.refuse_unread(1);
+  Connection conn;
+  if (!connect(conn, socket)) return 1;
   const auto response = conn.call(svc::make_request(
       svc::CommandId::kUnregister, svc::encode(request)));
   if (!response) {
@@ -238,14 +221,17 @@ int cmd_unregister(Connection& conn, const Args& args) {
   return response->status == 0 ? 0 : 1;
 }
 
-int cmd_estimate(Connection& conn, const Args& args) {
+int cmd_estimate(const std::string& socket, const cli::Args& args) {
   svc::EstimateRequest request;
   request.population_id = args.get("id", std::uint64_t{0});
   request.seed = args.get("seed", std::uint64_t{1});
   request.epsilon = args.get("eps", 0.1);
   request.delta = args.get("delta", 0.05);
   request.deadline_slots = args.get("deadline-slots", std::uint64_t{0});
-  request.robust = args.get("vanilla", std::string()).empty() ? 1 : 0;
+  request.robust = args.flag("vanilla") ? 0 : 1;
+  args.refuse_unread(1);
+  Connection conn;
+  if (!connect(conn, socket)) return 1;
   const auto response = conn.call(svc::make_request(
       svc::CommandId::kEstimate, svc::encode(request)));
   if (!response) {
@@ -269,7 +255,10 @@ int cmd_estimate(Connection& conn, const Args& args) {
   return 0;
 }
 
-int cmd_monitor(Connection& conn) {
+int cmd_monitor(const std::string& socket, const cli::Args& args) {
+  args.refuse_unread(1);
+  Connection conn;
+  if (!connect(conn, socket)) return 1;
   const auto response = conn.call(svc::make_request(svc::CommandId::kMonitor));
   if (!response) {
     std::fprintf(stderr, "petctl: no response to monitor\n");
@@ -372,16 +361,15 @@ std::optional<obs::JsonValue> fetch_metrics(Connection& conn) {
 /// count the kFull document reports), so it matches what the daemon routed
 /// without a per-population wire field; cache% is the population's
 /// cache-hit share of its requests.
-int cmd_top(Connection& conn, const Args& args) {
+int cmd_top(const std::string& socket, const cli::Args& args) {
   const double interval = args.get("interval", 2.0);
-  const bool once = !args.get("once", std::string()).empty();
-  const std::string sort_key = args.get("sort", std::string("id"));
-  if (sort_key != "id" && sort_key != "reqs" && sort_key != "rate" &&
-      sort_key != "p99" && sort_key != "degraded" && sort_key != "shed" &&
-      sort_key != "cache" && sort_key != "shard") {
-    std::fprintf(stderr, "petctl: unknown --sort key %s\n", sort_key.c_str());
-    return 2;
-  }
+  const bool once = args.flag("once");
+  const std::string sort_key =
+      args.choice("sort", "id", {"id", "reqs", "rate", "p99", "degraded",
+                                 "shed", "cache", "shard"});
+  args.refuse_unread(1);
+  Connection conn;
+  if (!connect(conn, socket)) return 1;
 
   std::map<std::string, double> prev_requests;
   auto prev_time = std::chrono::steady_clock::now();
@@ -506,11 +494,19 @@ int cmd_top(Connection& conn, const Args& args) {
 }
 
 /// Fetch one request's flight-recorder records (or all with id 0).
-int cmd_trace(Connection& conn, const Args& args) {
+int cmd_trace(const std::string& socket, const cli::Args& args) {
   svc::FlightDumpRequest request;
-  if (!args.operand.empty()) {
-    request.request_id = std::strtoull(args.operand.c_str(), nullptr, 0);
+  if (args.positionals().size() == 2) {
+    // Hex as format_request_id prints it, or decimal.
+    const std::string& text = args.positionals()[1];
+    const bool hex = text.starts_with("0x") || text.starts_with("0X");
+    request.request_id = cli::parse<std::uint64_t>(
+        std::string_view(text).substr(hex ? 2 : 0), "request id " + text,
+        hex ? 16 : 10);
   }
+  args.refuse_unread(2);
+  Connection conn;
+  if (!connect(conn, socket)) return 1;
   const auto response = conn.call(svc::make_request(
       svc::CommandId::kFlightDump, svc::encode(request)));
   if (!response) {
@@ -560,7 +556,7 @@ int cmd_trace(Connection& conn, const Args& args) {
 /// garbage a hostile or flaky client would send — so the server-side
 /// decoder, error taxonomy, and per-connection cleanup all get exercised.
 /// Liveness is asserted out-of-band on a clean second connection.
-int cmd_soak(const Args& args) {
+int cmd_soak(const std::string& socket, const cli::Args& args) {
   const auto seconds = args.get("seconds", std::uint64_t{5});
   const auto populations = args.get("populations", std::uint64_t{8});
   const auto tags = args.get("tags", std::uint64_t{5000});
@@ -572,17 +568,13 @@ int cmd_soak(const Args& args) {
   chaos_impairments.false_busy_prob = args.get("chaos-noise", 0.1);
   chaos_impairments.seed = rng::derive_seed(seed, 0xc4a05ull);
   const double close_prob = args.get("chaos-close", 0.02);
+  args.refuse_unread(1);
   svc::ChaosLink chaos(chaos_impairments);
   rng::Xoshiro256ss close_rng(rng::derive_seed(seed, 0xc705eull));
 
   Connection chaos_conn;
   Connection clean_conn;
-  if (!chaos_conn.open(args.socket_path) ||
-      !clean_conn.open(args.socket_path)) {
-    std::fprintf(stderr, "petctl: cannot connect to %s\n",
-                 args.socket_path.c_str());
-    return 1;
-  }
+  if (!connect(chaos_conn, socket) || !connect(clean_conn, socket)) return 1;
 
   // Populations registered on the clean connection: setup must not be
   // subject to chaos.
@@ -607,10 +599,7 @@ int cmd_soak(const Args& args) {
   std::uint64_t sent = 0, answered = 0, reconnects = 0, liveness_checks = 0;
   std::uint64_t request_seed = 0;
   while (std::chrono::steady_clock::now() < deadline) {
-    if (!chaos_conn.connected() && !chaos_conn.open(args.socket_path)) {
-      std::fprintf(stderr, "petctl: reconnect failed\n");
-      return 1;
-    }
+    if (!chaos_conn.connected() && !connect(chaos_conn, socket)) return 1;
 
     svc::EstimateRequest request;
     request.population_id = request_seed % populations;
@@ -711,55 +700,30 @@ int cmd_soak(const Args& args) {
   return 0;
 }
 
-int run(const Args& args) {
-  if (args.command == "soak") return cmd_soak(args);
-
-  Connection conn;
-  if (!conn.open(args.socket_path)) {
-    std::fprintf(stderr, "petctl: cannot connect to %s\n",
-                 args.socket_path.c_str());
-    return 1;
-  }
-  if (args.command == "ping") return cmd_ping(conn);
-  if (args.command == "register") return cmd_register(conn, args);
-  if (args.command == "unregister") return cmd_unregister(conn, args);
-  if (args.command == "estimate") return cmd_estimate(conn, args);
-  if (args.command == "monitor") return cmd_monitor(conn);
-  if (args.command == "top") return cmd_top(conn, args);
-  if (args.command == "trace") return cmd_trace(conn, args);
+int run(const cli::Args& args) {
+  const std::string socket = args.get("socket", "");
+  if (socket.empty() || args.positionals().empty()) return usage();
+  const std::string& command = args.positionals().front();
+  if (command == "ping") return cmd_ping(socket, args);
+  if (command == "register") return cmd_register(socket, args);
+  if (command == "unregister") return cmd_unregister(socket, args);
+  if (command == "estimate") return cmd_estimate(socket, args);
+  if (command == "monitor") return cmd_monitor(socket, args);
+  if (command == "top") return cmd_top(socket, args);
+  if (command == "trace") return cmd_trace(socket, args);
+  if (command == "soak") return cmd_soak(socket, args);
   return usage();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") return usage();
-    if (arg.rfind("--socket=", 0) == 0) {
-      args.socket_path = std::string(arg.substr(9));
-    } else if (arg.rfind("--", 0) == 0) {
-      const std::size_t eq = arg.find('=');
-      if (eq == std::string_view::npos) {
-        args.kv.emplace_back(std::string(arg.substr(2)), "1");
-      } else {
-        args.kv.emplace_back(std::string(arg.substr(2, eq - 2)),
-                             std::string(arg.substr(eq + 1)));
-      }
-    } else if (args.command.empty()) {
-      args.command = std::string(arg);
-    } else if (args.operand.empty()) {
-      args.operand = std::string(arg);
-    } else {
-      return usage();
-    }
-  }
-  if (args.socket_path.empty() || args.command.empty()) return usage();
   try {
+    const cli::Args args(argc, argv);
+    if (args.flag("help")) return usage();
     return run(args);
-  } catch (const BadValue& bad) {
-    std::fprintf(stderr, "petctl: bad value in %s\n", bad.arg.c_str());
+  } catch (const cli::UsageError& error) {
+    std::fprintf(stderr, "petctl: %s\n", error.what());
     return usage();
   }
 }

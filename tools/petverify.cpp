@@ -18,19 +18,12 @@
 #include <exception>
 #include <string>
 
+#include "common/cli.hpp"
 #include "core/theory.hpp"
 #include "runtime/trial_runner.hpp"
 #include "verify/conformance.hpp"
 
 namespace {
-
-struct Args {
-  pet::verify::ConformanceOptions options;
-  unsigned threads = 0;  ///< 0 = hardware concurrency
-  bool quiet = false;
-  bool list = false;
-  double phi_bias = 1.0;
-};
 
 [[noreturn]] void usage(const char* argv0, int code) {
   std::fprintf(
@@ -41,59 +34,38 @@ struct Args {
   std::exit(code);
 }
 
-bool take_value(const std::string& arg, const char* flag, std::string& out) {
-  const std::string prefix = std::string(flag) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = arg.substr(prefix.size());
-  return true;
-}
-
-Args parse(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (arg == "--quick") {
-      args.options.quick = true;
-    } else if (arg == "--quiet") {
-      args.quiet = true;
-    } else if (arg == "--list") {
-      args.list = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0], 0);
-    } else if (take_value(arg, "--seed", value)) {
-      args.options.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (take_value(arg, "--threads", value)) {
-      args.threads = static_cast<unsigned>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (take_value(arg, "--alpha", value)) {
-      args.options.family_alpha = std::strtod(value.c_str(), nullptr);
-    } else if (take_value(arg, "--filter", value)) {
-      args.options.filter = value;
-    } else if (take_value(arg, "--inject-phi-bias", value)) {
-      args.phi_bias = std::strtod(value.c_str(), nullptr);
-    } else {
-      std::fprintf(stderr, "petverify: unknown argument '%s'\n", arg.c_str());
-      usage(argv[0], 2);
-    }
-  }
-  if (args.options.family_alpha <= 0.0 || args.options.family_alpha >= 1.0) {
-    std::fprintf(stderr, "petverify: --alpha must be in (0, 1)\n");
-    std::exit(2);
-  }
-  if (args.phi_bias <= 0.0) {
-    std::fprintf(stderr, "petverify: --inject-phi-bias must be positive\n");
-    std::exit(2);
-  }
-  return args;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  pet::verify::ConformanceOptions options;
+  unsigned threads = 0;  // 0 = hardware concurrency
+  bool quiet = false;
+  bool list = false;
+  double phi_bias = 1.0;
+  try {
+    const pet::cli::Args args(argc, argv);
+    if (args.flag("help")) usage(argv[0], 0);
+    options.quick = args.flag("quick");
+    quiet = args.flag("quiet");
+    list = args.flag("list");
+    options.seed = args.get("seed", options.seed);
+    threads = args.get("threads", threads);
+    options.family_alpha = args.get("alpha", options.family_alpha);
+    options.filter = args.get("filter", options.filter);
+    phi_bias = args.get("inject-phi-bias", phi_bias);
+    args.refuse_unread();
+    if (options.family_alpha <= 0.0 || options.family_alpha >= 1.0) {
+      throw pet::cli::UsageError("--alpha must be in (0, 1)");
+    }
+    if (phi_bias <= 0.0) {
+      throw pet::cli::UsageError("--inject-phi-bias must be positive");
+    }
+  } catch (const pet::cli::UsageError& error) {
+    std::fprintf(stderr, "petverify: %s\n", error.what());
+    usage(argv[0], 2);
+  }
 
-  if (args.list) {
+  if (list) {
     for (const auto& name : pet::verify::conformance_check_names()) {
       std::printf("%s\n", name.c_str());
     }
@@ -101,18 +73,18 @@ int main(int argc, char** argv) {
   }
 
   try {
-    pet::core::testing::ScopedPhiBias bias(args.phi_bias);
-    if (args.phi_bias != 1.0 && !args.quiet) {
+    pet::core::testing::ScopedPhiBias bias(phi_bias);
+    if (phi_bias != 1.0 && !quiet) {
       std::printf("petverify: MUTATION ARMED, phi bias %.4f — the harness "
                   "is expected to fail\n",
-                  args.phi_bias);
+                  phi_bias);
     }
 
-    pet::runtime::TrialRunner runner(args.threads, false);
-    const auto report = pet::verify::run_conformance(args.options, runner);
+    pet::runtime::TrialRunner runner(threads, false);
+    const auto report = pet::verify::run_conformance(options, runner);
 
     for (const auto& check : report.checks) {
-      if (args.quiet && check.passed) continue;
+      if (quiet && check.passed) continue;
       std::printf("[%s] %-28s %s\n", check.passed ? "PASS" : "FAIL",
                   check.name.c_str(), check.detail.c_str());
     }
@@ -120,11 +92,11 @@ int main(int argc, char** argv) {
                 "threads)\n",
                 report.checks.size() - report.failures(),
                 report.checks.size(),
-                static_cast<unsigned long long>(args.options.seed),
-                args.options.quick ? "quick" : "full", runner.thread_count());
+                static_cast<unsigned long long>(options.seed),
+                options.quick ? "quick" : "full", runner.thread_count());
     if (report.checks.empty()) {
       std::fprintf(stderr, "petverify: filter '%s' matched no checks\n",
-                   args.options.filter.c_str());
+                   options.filter.c_str());
       return 2;
     }
     return report.all_passed() ? 0 : 1;
