@@ -72,10 +72,8 @@ struct EstimateResult {
 
 /// Cooperative stop-check consulted between rounds: receives the number of
 /// rounds completed so far and returns true to keep going, false to stop.
-/// petd's deadline/drain path installs one; sweeps leave it empty.  The
-/// gate must be deterministic if its caller needs deterministic results —
-/// wall-clock gates belong only to best-effort service paths
-/// (docs/service.md).
+/// petd's drain path installs one; sweeps leave it empty.  The gate must be
+/// deterministic if its caller needs deterministic results.
 using RoundGate = std::function<bool(std::uint64_t rounds_done)>;
 
 class PetEstimator {

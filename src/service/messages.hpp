@@ -61,8 +61,7 @@ struct EstimateRequest {
   double delta = 0.05;
   /// Deadline as a *slot budget*: the estimate may consume at most this
   /// many reply-window slots, 0 = unlimited.  Slots, not microseconds, so
-  /// the degrade decision replays bit-for-bit (docs/service.md explains the
-  /// slot_us conversion for wall-clock callers).
+  /// the degrade decision replays bit-for-bit.
   std::uint64_t deadline_slots = 0;
   std::uint8_t robust = 1;      ///< 1: RobustPetEstimator; 0: vanilla PET
 };

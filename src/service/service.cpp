@@ -232,22 +232,14 @@ struct EstimatePlan {
 
 /// Run stage: execute the plan over the population's long-lived channel,
 /// serialized per population, and fill the record's outcome.  The round
-/// gate stops early on drain and on the optional wall-clock backstop
-/// (daemon only; breaks determinism, see config).  The slot budget needs
-/// no gate: a round costs at most its worst case times vote_reads real
-/// slots, and plan_rounds only plans the rounds that fit.
-[[nodiscard]] EstimateReply run_plan(const ServiceConfig& config,
-                                     const std::atomic<bool>& draining,
+/// gate stops early only on drain.  The slot budget needs no gate: a round
+/// costs at most its worst case times vote_reads real slots, and
+/// plan_rounds only plans the rounds that fit.
+[[nodiscard]] EstimateReply run_plan(const std::atomic<bool>& draining,
                                      PopulationRegistry::Entry& entry,
                                      const EstimateRequest& req,
                                      const EstimatePlan& plan,
                                      RequestRecord& record) {
-  std::optional<std::chrono::steady_clock::time_point> wall_deadline;
-  if (req.deadline_slots > 0 && config.slot_us > 0) {
-    wall_deadline = std::chrono::steady_clock::now() +
-                    std::chrono::microseconds(req.deadline_slots *
-                                              config.slot_us);
-  }
   EstimateReply reply;
   reply.population_id = req.population_id;
   reply.planned_rounds = record.planned_rounds;
@@ -256,9 +248,8 @@ struct EstimatePlan {
   std::lock_guard lock(entry.mutex);
   chan::SortedPetChannel& channel = *entry.channel;
   channel.reset_ledger();
-  const core::RoundGate gate = [&](std::uint64_t /*rounds_done*/) -> bool {
-    if (draining.load(std::memory_order_relaxed)) return false;
-    return !wall_deadline || std::chrono::steady_clock::now() < *wall_deadline;
+  const core::RoundGate gate = [&](std::uint64_t /*rounds_done*/) {
+    return !draining.load(std::memory_order_relaxed);
   };
 
   if (plan.robust) {
@@ -852,15 +843,13 @@ Frame EstimationService::handle_estimate(const Frame& request,
       return refuse({StatusCode::kDeadlineExceeded,
                      "deadline budget cannot fit a single round"});
     }
-    payload = encode(run_plan(config_, draining_, *entry, *req, plan, record));
-    // Publish only replies that are pure functions of the request: a round
-    // loop stopped by the drain flag or the wall-clock backstop produced
-    // bytes an identical future request would not reproduce.
-    const bool impure_truncation =
-        (record.degrade_mask & kDegradeTruncated) != 0 &&
-        (draining_.load(std::memory_order_relaxed) ||
-         (req->deadline_slots > 0 && config_.slot_us > 0));
-    if (!impure_truncation) publish(cache_, key, payload, record);
+    payload = encode(run_plan(draining_, *entry, *req, plan, record));
+    // Publish only replies that are pure functions of the request: only the
+    // drain flag truncates a round loop, and its bytes are ones an
+    // identical future request would not reproduce.
+    if ((record.degrade_mask & kDegradeTruncated) == 0) {
+      publish(cache_, key, payload, record);
+    }
   }
   record.status = static_cast<std::uint16_t>(StatusCode::kOk);
   fold(entry->stats, record, req->deadline_slots);

@@ -37,8 +37,7 @@
 // estimate, CI, retry schedule, degraded/truncated flags — is byte-identical
 // at any pool size, any shard count, and with the cache on or off.
 // Everything time-like is measured in reply-window slots (backoff slots,
-// deadline slot budgets); wall-clock deadline enforcement exists only as an
-// opt-in daemon backstop and is off wherever determinism is asserted.
+// deadline slot budgets); no deadline is enforced by the wall clock.
 #pragma once
 
 #include <atomic>
@@ -92,12 +91,6 @@ struct ServiceConfig {
   /// robust=1 requests.
   unsigned vote_reads = 3;
   unsigned vote_quorum = 2;
-
-  /// Wall-clock backstop (daemon only): when > 0, a request's slot budget
-  /// is also mapped to a steady-clock deadline at slot_us microseconds per
-  /// slot and the round gate additionally stops on wall overrun.  Breaks
-  /// bit-determinism by design; keep 0 in tests and benches.
-  std::uint64_t slot_us = 0;
 
   /// Ring size of the flight recorder (last N per-request records, see
   /// flight.hpp).  Capped so a full kFlightDump reply always fits
